@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NotInjectiveError
 from .grid import DiscreteFunction
 from .kernel import DEFAULT_CUTOFF_REL, KernelMatrix, _solve_columns
-from .transform import TransformOperator, _random_matrix, check_injectivity
+from .transform import TransformOperator, _column_norms, _random_matrix, check_injectivity
 
 DEFAULT_TOL_DIAG = 1e-8
 
@@ -110,10 +110,9 @@ def check_unitary_inversion(
     recovered_rkhs = op.adjoint_matrix @ x
 
     m = op.grid_T.weights
-    norm_T = lambda mat: np.sqrt(np.sum(m[:, None] * np.abs(mat) ** 2, axis=0))
-    f_norms = norm_T(F)
-    l2_err = float(np.max(norm_T(recovered_plain - F) / f_norms))
-    rkhs_err = float(np.max(norm_T(recovered_rkhs - F) / f_norms))
+    f_norms = _column_norms(m, F)
+    l2_err = float(np.max(_column_norms(m, recovered_plain - F) / f_norms))
+    rkhs_err = float(np.max(_column_norms(m, recovered_rkhs - F) / f_norms))
     return UnitaryInversionReport(
         verdict_from_kernel=verdict,
         l2_adjoint_error=l2_err,

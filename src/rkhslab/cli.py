@@ -4,6 +4,8 @@ Exit codes: verify returns 0 when every criterion passes, 1 on any identity
 failure, 2 on a config problem.  invert returns 0 on success, 2 on config or
 data-alignment problems, 3 on a non-injective transform or out-of-range data.
 analyze returns 0 after writing the weighted-L2 verdict, 2 on config errors.
+Every command returns 4 on a numerical failure: a LAPACK decomposition that
+does not converge, or verify trial data outside the numerical kernel range.
 The environment variable ``RKHSLAB_SEED`` overrides the config seed.
 """
 from __future__ import annotations
@@ -26,11 +28,9 @@ from .errors import (
     RangeViolationError,
 )
 from .features import closed_form_discrepancy
-from .grid import DiscreteFunction
 from .io import load_function_csv, save_function_csv
-from .kernel import _solve_columns, spectral_data, validate_psd
+from .kernel import _solve_columns, condition_number, spectral_data, validate_psd
 from .report import SCHEMA_VERSION, criterion, dump_report, write_report
-from .rkhs import make_rkhs_space, reproducing_residuals, rkhs_inner
 from .transform import check_injectivity, invert as transform_invert, verify_identities
 
 # fixed tolerances of the verification suite; the config only controls the
@@ -50,13 +50,14 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RANGE = 3
+EXIT_NUMERICAL = 4
 
 
 def _conditioning_block(kernel, cutoff_rel):
     spec = spectral_data(kernel, cutoff_rel)
     lam = spec.eigenvalues
     rank = spec.numerical_rank
-    cond = float(lam[0] / lam[rank - 1]) if rank > 0 else float("inf")
+    cond = condition_number(kernel, cutoff_rel)
     return {
         "size": kernel.size,
         "max_eigenvalue": float(lam[0]),
@@ -69,11 +70,11 @@ def _conditioning_block(kernel, cutoff_rel):
 
 
 def _random_range_functions(kernel, rng, trials):
+    """Images ``gram @ W @ raw`` of random columns: ``size x trials``, in range."""
     raw = rng.standard_normal((kernel.size, trials))
     if np.iscomplexobj(kernel.gram):
         raw = raw + 1j * rng.standard_normal((kernel.size, trials))
-    images = kernel.gram @ (kernel.grid.weights[:, None] * raw)
-    return [DiscreteFunction(values=images[:, t], grid=kernel.grid) for t in range(trials)]
+    return kernel.gram @ (kernel.grid.weights[:, None] * raw)
 
 
 def _skip(name, note):
@@ -121,7 +122,6 @@ def run_verify(config: RunConfig):
             criteria.append(_skip(name, "skipped: kernel failed the PSD check"))
     else:
         t_suite = time.perf_counter()
-        space = make_rkhs_space(kernel, config.cutoff_rel, config.range_tol)
         repro_tol = REPRODUCING_TOL
         repro_note = None
         if cond > CONDITION_GATE:
@@ -130,17 +130,22 @@ def run_verify(config: RunConfig):
                 f"tolerance relaxed: condition number {cond:.3e} exceeds {CONDITION_GATE:.0e}"
             )
         rng = np.random.default_rng(config.seed)
-        trial_functions = _random_range_functions(kernel, rng, config.trials)
+        F = _random_range_functions(kernel, rng, config.trials)
 
-        worst_repro = 0.0
-        worst_excess = -np.inf
+        # every trial in one solve: x = K^{-1} f column-wise, gated on range
+        X, residuals = _solve_columns(kernel, F, config.cutoff_rel)
+        offending = np.flatnonzero(residuals > config.range_tol)
+        if offending.size:
+            raise RangeViolationError(float(residuals[offending[0]]), config.range_tol)
+        weights = kernel.grid.weights[:, None]
+        # reproducing: [f, K(., q)] = (gram W K^{-1} f)(q) at every q
+        recon = kernel.gram @ (weights * X)
+        worst_repro = float(np.max(np.abs(recon - F) / (1.0 + np.abs(F))))
+        # point evaluation: |f(q)| <= ||f|| sqrt(K(q, q)) with ||f||^2 = (K^{-1} f, f)
+        norm_f = np.sqrt(np.clip(np.sum(weights * X * np.conj(F), axis=0).real, 0.0, None))
         sqrt_diag = np.sqrt(np.clip(np.real(np.diag(kernel.gram)), 0.0, None))
-        for f in trial_functions:
-            worst_repro = max(worst_repro, float(reproducing_residuals(space, f).max()))
-            norm_f = float(np.sqrt(max(rkhs_inner(space, f, f).real, 0.0)))
-            lhs = np.abs(f.values)
-            rhs = norm_f * sqrt_diag
-            worst_excess = max(worst_excess, float(np.max((lhs - rhs) / (1.0 + rhs))))
+        rhs = sqrt_diag[:, None] * norm_f[None, :]
+        worst_excess = float(np.max((np.abs(F) - rhs) / (1.0 + rhs)))
         criteria.append(
             criterion("reproducing", worst_repro, repro_tol,
                       worst_repro <= repro_tol, note=repro_note)
@@ -180,11 +185,10 @@ def run_verify(config: RunConfig):
         t_transform = time.perf_counter()
         op = built.operator
         idrep = verify_identities(op, config.cutoff_rel, config.trials, config.seed)
-        inj = check_injectivity(op)
         injectivity_block = {
-            "injective": inj.injective,
-            "numerical_rank": inj.numerical_rank,
-            "deficiency": inj.deficiency,
+            "injective": idrep.injective,
+            "numerical_rank": idrep.numerical_rank,
+            "deficiency": op.grid_T.size - idrep.numerical_rank,
         }
         criteria.append(
             criterion("factorization", idrep.factorization_residual, FACTORIZATION_TOL,
@@ -194,7 +198,7 @@ def run_verify(config: RunConfig):
             criterion("adjointness", idrep.adjointness_defect, ADJOINTNESS_TOL,
                       idrep.adjointness_defect <= ADJOINTNESS_TOL)
         )
-        gated = inj.injective and idrep.condition_number <= CONDITION_GATE
+        gated = idrep.injective and idrep.condition_number <= CONDITION_GATE
         if gated:
             criteria.append(
                 criterion("isometry", idrep.isometry_defect, ISOMETRY_TOL,
@@ -209,7 +213,7 @@ def run_verify(config: RunConfig):
                           idrep.norm_defect <= NORM_IDENTITY_TOL)
             )
         else:
-            if not inj.injective:
+            if not idrep.injective:
                 note = "skipped: transform is not injective"
                 flags.append("transform failed the injectivity check")
             else:
@@ -229,7 +233,7 @@ def run_verify(config: RunConfig):
             "condition_number": idrep.condition_number,
             "trials": idrep.trials,
         }
-        if inj.injective:
+        if idrep.injective:
             uni = check_unitary_inversion(
                 op, config.cutoff_rel, config.trials, config.seed, config.tol_diag
             )
@@ -417,6 +421,10 @@ def main(argv=None) -> int:
         code, report = run_analyze(config)
         _emit(report, args.out)
         return code
+    except (np.linalg.LinAlgError, RangeViolationError) as exc:
+        # LinAlgError subclasses ValueError, so it must be caught first
+        sys.stderr.write(f"numerical error: {exc}\n")
+        return EXIT_NUMERICAL
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

@@ -11,11 +11,12 @@ become finite-dimensional residuals that this module measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotInjectiveError, RangeViolationError
-from .grid import DiscreteFunction, Grid, ensure_aligned, inner_product_l2, norm_l2
+from .grid import DiscreteFunction, Grid, ensure_aligned, norm_l2
 from .kernel import (
     DEFAULT_CUTOFF_REL,
     DEFAULT_RANGE_TOL,
@@ -63,6 +64,18 @@ class TransformOperator:
     @property
     def grid_E(self) -> Grid:
         return self.feature.grid_E
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of ``diag(m)^{1/2} H diag(w)^{1/2}``, descending.
+
+        Computed on first use and kept, so every rank check on this operator
+        shares one SVD; ``build_transform`` never triggers it.
+        """
+        sm = np.sqrt(self.grid_T.weights)
+        sw = np.sqrt(self.grid_E.weights)
+        scaled = sm[:, None] * self.feature.matrix * sw[None, :]
+        return np.linalg.svd(scaled, compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -134,12 +147,10 @@ def check_injectivity(op: TransformOperator, tol_rank: float = 1e-10) -> Injecti
 
     The transform is injective iff the rank of
     ``diag(m)^{1/2} H diag(w)^{1/2}`` equals the size of grid T, i.e. the
-    feature family is total in the source space.
+    feature family is total in the source space.  The singular values are
+    cached on the operator.
     """
-    sm = np.sqrt(op.grid_T.weights)
-    sw = np.sqrt(op.grid_E.weights)
-    scaled = sm[:, None] * op.feature.matrix * sw[None, :]
-    singular_values = np.linalg.svd(scaled, compute_uv=False)
+    singular_values = op.singular_values
     if singular_values.size == 0 or singular_values[0] == 0.0:
         rank = 0
     else:
@@ -148,6 +159,11 @@ def check_injectivity(op: TransformOperator, tol_rank: float = 1e-10) -> Injecti
     return InjectivityReport(
         injective=rank == m_dim, numerical_rank=rank, deficiency=m_dim - rank
     )
+
+
+def _column_norms(weights: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Weighted-L2 norm of every column of ``mat`` under quadrature ``weights``."""
+    return np.sqrt(np.sum(weights[:, None] * np.abs(mat) ** 2, axis=0))
 
 
 def _random_matrix(rng, rows, cols, complex_mode):
@@ -193,12 +209,11 @@ def verify_identities(
     g_img = op.forward_matrix @ G
     x, _ = _solve_columns(op.induced, f_img, cutoff_rel)
 
-    norm_T = lambda mat: np.sqrt(np.sum(m[:, None] * np.abs(mat) ** 2, axis=0))
-    f_norms = norm_T(F)
-    g_norms = norm_T(G)
+    f_norms = _column_norms(m, F)
+    g_norms = _column_norms(m, G)
 
     back = op.adjoint_matrix @ x
-    roundtrip = float(np.max(norm_T(back - F) / f_norms))
+    roundtrip = float(np.max(_column_norms(m, back - F) / f_norms))
 
     # [LF, LG] via the solved K^{-1} LF against LG in the E-grid product
     space_inner = np.sum(w[:, None] * x * np.conj(g_img), axis=0)
@@ -213,7 +228,7 @@ def verify_identities(
     g_rand = _random_matrix(rng, op.grid_E.size, trials, complex_mode)
     pair_lhs = np.sum(w[:, None] * (op.forward_matrix @ F) * np.conj(g_rand), axis=0)
     pair_rhs = np.sum(m[:, None] * F * np.conj(op.adjoint_matrix @ g_rand), axis=0)
-    g_rand_norms = np.sqrt(np.sum(w[:, None] * np.abs(g_rand) ** 2, axis=0))
+    g_rand_norms = _column_norms(w, g_rand)
     adjointness = float(np.max(np.abs(pair_lhs - pair_rhs) / (f_norms * g_rand_norms)))
 
     return IdentityReport(

@@ -312,3 +312,47 @@ class TestCsvKernelSource:
         code = main(["verify", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["passed"] is True
+
+
+class TestNumericalErrors:
+    def test_svd_non_convergence_exit_four(self, tmp_path, monkeypatch, capsys):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        cfg = write_config(tmp_path, indicator_config(n=40, trials=5))
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and "did not converge" in err
+
+    def test_invert_svd_non_convergence_exit_four(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, indicator_config(n=40))
+        grid = rl.make_uniform_grid(0, 1, 40, "midpoint")
+        data = tmp_path / "d.csv"
+        save_function_csv(rl.sample_function(grid, lambda p: p), data)
+
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        code = main(["invert", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "rec.csv")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("numerical error:")
+
+    def test_trial_range_violation_exit_four(self, tmp_path, capsys):
+        doc = {
+            "grids": {"E": {"interval": [0.0, 1.0], "n": 200, "rule": "trapezoid"}},
+            "source": {"kernel": {"name": "sinc"}},
+            "tolerances": {"range_tol": 1e-300},
+            "trials": 20,
+            "seed": 3,
+        }
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "report.json"
+        code = main(["verify", "--config", str(cfg), "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and "range violation" in err
+        assert not out.exists()

@@ -1,0 +1,191 @@
+"""How often each command decomposes, and the batched trial suite of verify.
+
+Feature sources decompose ``sqrt(m) H sqrt(w)`` once (values-only SVD,
+cached on the operator) and the weighted kernel form once (``eigh``, cached
+on the kernel).  The reproducing and point-evaluation trials of ``verify``
+share one batched solve; their report values must match a per-trial
+recomputation with the library's single-function routines.
+"""
+import numpy as np
+import pytest
+
+import rkhslab as rl
+from rkhslab import cli
+from rkhslab.config import build_objects, parse_config
+from rkhslab.io import save_function_csv
+
+
+def indicator_doc(n_T=60, n_E=60, trials=10, seed=4):
+    return {
+        "grids": {
+            "E": {"interval": [0.0, 1.0], "n": n_E, "rule": "midpoint"},
+            "T": {"interval": [0.0, 1.0], "n": n_T, "rule": "midpoint"},
+        },
+        "source": {"feature_family": {"family": "indicator"}},
+        "trials": trials,
+        "seed": seed,
+    }
+
+
+def kernel_doc(name, n, trials=10, seed=4, **tolerances):
+    doc = {
+        "grids": {"E": {"interval": [0.0, 1.0], "n": n, "rule": "trapezoid"}},
+        "source": {"kernel": {"name": name}},
+        "trials": trials,
+        "seed": seed,
+    }
+    if tolerances:
+        doc["tolerances"] = tolerances
+    return doc
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Counts calls of ``np.linalg.svd`` and ``np.linalg.eigh``."""
+    counts = {"svd": 0, "eigh": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def write_invert_data(tmp_path, config, seed=11):
+    built = build_objects(config)
+    rng = np.random.default_rng(seed)
+    source = rl.DiscreteFunction(rng.standard_normal(built.grid_T.size), built.grid_T)
+    data_path = tmp_path / "data.csv"
+    save_function_csv(rl.apply_forward(built.operator, source), data_path)
+    return data_path
+
+
+class TestDecompositionCounts:
+    def test_feature_verify_one_svd_one_eigh(self, decompositions):
+        code, report = cli.run_verify(parse_config(indicator_doc()))
+        assert code == cli.EXIT_OK
+        assert report["injectivity"]["injective"] is True
+        assert report["unitary_inversion"] is not None
+        assert decompositions == {"svd": 1, "eigh": 1}
+
+    def test_injective_invert_one_svd_one_eigh(self, tmp_path, decompositions):
+        config = parse_config(indicator_doc())
+        data = write_invert_data(tmp_path, config)
+        decompositions.update(svd=0, eigh=0)
+        code, report = cli.run_invert(config, data, tmp_path / "rec.csv")
+        assert code == cli.EXIT_OK
+        assert report["injectivity"]["injective"] is True
+        assert decompositions == {"svd": 1, "eigh": 1}
+
+    def test_non_injective_invert_one_svd_no_eigh(self, tmp_path, decompositions):
+        config = parse_config(indicator_doc(n_T=60, n_E=30))
+        data = write_invert_data(tmp_path, config)
+        decompositions.update(svd=0, eigh=0)
+        code, report = cli.run_invert(config, data, tmp_path / "rec.csv")
+        assert code == cli.EXIT_RANGE
+        assert report["injectivity"]["injective"] is False
+        assert decompositions == {"svd": 1, "eigh": 0}
+
+    def test_analyze_runs_no_decomposition(self, decompositions):
+        config = parse_config(indicator_doc())
+        built = build_objects(config)
+        assert decompositions == {"svd": 0, "eigh": 0}
+        assert "singular_values" not in vars(built.operator)
+        code, _ = cli.run_analyze(config)
+        assert code == cli.EXIT_OK
+        assert decompositions == {"svd": 0, "eigh": 0}
+
+    def test_kernel_verify_no_svd_one_eigh(self, decompositions):
+        code, report = cli.run_verify(parse_config(kernel_doc("brownian", 60)))
+        assert code == cli.EXIT_OK
+        assert report["injectivity"] is None
+        assert decompositions == {"svd": 0, "eigh": 1}
+
+    def test_singular_values_cached_on_operator(self, indicator_op, decompositions):
+        op = rl.build_transform(indicator_op.feature)
+        first = rl.check_injectivity(op)
+        second = rl.check_injectivity(op, tol_rank=1e-3)
+        assert decompositions["svd"] == 1
+        assert first.injective
+        assert second.numerical_rank <= first.numerical_rank
+
+
+def trial_images(kernel, config):
+    """The in-range trial functions verify draws, as columns, from the config seed."""
+    rng = np.random.default_rng(config.seed)
+    raw = rng.standard_normal((kernel.size, config.trials))
+    if np.iscomplexobj(kernel.gram):
+        raw = raw + 1j * rng.standard_normal((kernel.size, config.trials))
+    return kernel.gram @ (kernel.grid.weights[:, None] * raw)
+
+
+def single_residual(kernel, config, column):
+    f = rl.DiscreteFunction(values=column, grid=kernel.grid)
+    return rl.solve_kernel_system(kernel, f, config.cutoff_rel, None).range_residual
+
+
+def per_trial_suite(config):
+    """Worst reproducing residual and point-evaluation excess, one trial at a time."""
+    kernel = build_objects(config).kernel
+    space = rl.make_rkhs_space(kernel, config.cutoff_rel, config.range_tol)
+    images = trial_images(kernel, config)
+    sqrt_diag = np.sqrt(np.clip(np.real(np.diag(kernel.gram)), 0.0, None))
+    worst_repro, worst_excess = 0.0, -np.inf
+    for t in range(config.trials):
+        f = rl.DiscreteFunction(values=images[:, t], grid=kernel.grid)
+        worst_repro = max(worst_repro, float(rl.reproducing_residuals(space, f).max()))
+        rhs = rl.rkhs_norm(space, f) * sqrt_diag
+        worst_excess = max(worst_excess, float(np.max((np.abs(f.values) - rhs) / (1.0 + rhs))))
+    return worst_repro, worst_excess
+
+
+class TestBatchedTrialSuite:
+    @pytest.mark.parametrize(
+        "doc",
+        [kernel_doc("brownian", 80, trials=25), kernel_doc("sinc", 120, trials=25),
+         indicator_doc(trials=25)],
+        ids=["brownian", "sinc", "indicator"],
+    )
+    def test_matches_per_trial_recomputation(self, doc):
+        config = parse_config(doc)
+        worst_repro, worst_excess = per_trial_suite(config)
+        _, report = cli.run_verify(config)
+        batched = report["identities"]
+        assert abs(batched["reproducing"]["max_residual"] - worst_repro) <= 1e-14
+        assert abs(batched["point_eval"]["max_excess"] - worst_excess) <= 1e-14
+        values = {c["name"]: c["value"] for c in report["criteria"]}
+        assert values["reproducing"] == batched["reproducing"]["max_residual"]
+        assert values["point_eval_bound"] == batched["point_eval"]["max_excess"]
+
+    def test_range_gate_raises_at_first_trial(self):
+        config = parse_config(kernel_doc("sinc", 200, range_tol=1e-300))
+        kernel = build_objects(config).kernel
+        expected = single_residual(kernel, config, trial_images(kernel, config)[:, 0])
+        with pytest.raises(rl.RangeViolationError) as err:
+            cli.run_verify(config)
+        assert err.value.tolerance == 1e-300
+        assert expected > 0.0
+        assert abs(err.value.residual - expected) <= 1e-15
+
+    def test_range_gate_names_first_offending_trial(self):
+        # a gate that trial 0 passes and a later trial fails: the error must
+        # carry the earliest failing trial's residual, as the per-trial loop did
+        config = parse_config(kernel_doc("sinc", 120))
+        kernel = build_objects(config).kernel
+        images = trial_images(kernel, config)
+        residuals = [single_residual(kernel, config, images[:, t]) for t in range(config.trials)]
+        r = np.array(residuals)
+        above = r[r > r[0]]
+        # a gate halfway (geometrically) between trial 0 and the next larger
+        # residual, clear of every residual by far more than roundoff
+        tol = float(np.sqrt(r[0] * above.min()))
+        assert np.min(np.abs(r / tol - 1.0)) > 1e-2
+        first = next(x for x in residuals if x > tol)
+        assert first != residuals[0]
+        gated = parse_config(kernel_doc("sinc", 120, range_tol=tol))
+        with pytest.raises(rl.RangeViolationError) as err:
+            cli.run_verify(gated)
+        assert abs(err.value.residual - first) <= 1e-15
