@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import NotInjectiveError
 from .grid import DiscreteFunction
-from .kernel import DEFAULT_CUTOFF_REL, KernelMatrix, _solve_columns
-from .transform import TransformOperator, _column_norms, _random_matrix, check_injectivity
+from .kernel import DEFAULT_CUTOFF_REL, KernelMatrix
+from .transform import TransformOperator, check_injectivity, verify_identities
 
 DEFAULT_TOL_DIAG = 1e-8
 
@@ -89,34 +89,19 @@ def check_unitary_inversion(
     For random sources F with images f, the adjoint composed with the inverse
     kernel recovers F whenever the transform is injective; the plain adjoint
     alone recovers F only in the weighted-L2 (diagonal-kernel) case.  Errors
-    are the worst relative T-grid L2 deviations over the trials.
+    are the worst relative T-grid L2 deviations over the trials drawn by
+    ``verify_identities``: its ``plain_adjoint_error`` and ``roundtrip_error``.
 
     Raises ``NotInjectiveError`` for rank-deficient transforms.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     inj = check_injectivity(op)
     if not inj.injective:
         raise NotInjectiveError(inj.numerical_rank, op.grid_T.size)
-    verdict = check_weighted_l2(op.induced, tol_diag)
-
-    rng = np.random.default_rng(seed)
-    complex_mode = np.iscomplexobj(op.feature.matrix)
-    F = _random_matrix(rng, op.grid_T.size, trials, complex_mode)
-    f_img = op.forward_matrix @ F
-
-    recovered_plain = op.adjoint_matrix @ f_img
-    x, _ = _solve_columns(op.induced, f_img, cutoff_rel)
-    recovered_rkhs = op.adjoint_matrix @ x
-
-    m = op.grid_T.weights
-    f_norms = _column_norms(m, F)
-    l2_err = float(np.max(_column_norms(m, recovered_plain - F) / f_norms))
-    rkhs_err = float(np.max(_column_norms(m, recovered_rkhs - F) / f_norms))
+    identities = verify_identities(op, cutoff_rel, trials, seed)
     return UnitaryInversionReport(
-        verdict_from_kernel=verdict,
-        l2_adjoint_error=l2_err,
-        rkhs_adjoint_error=rkhs_err,
+        verdict_from_kernel=check_weighted_l2(op.induced, tol_diag),
+        l2_adjoint_error=identities.plain_adjoint_error,
+        rkhs_adjoint_error=identities.roundtrip_error,
         trials=trials,
         seed=seed,
     )

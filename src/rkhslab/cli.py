@@ -19,18 +19,14 @@ import time
 import numpy as np
 
 from . import __version__
-from .analysis import check_unitary_inversion, check_weighted_l2
+from .analysis import check_weighted_l2
 from .config import RunConfig, build_objects, load_config
-from .errors import (
-    ConfigError,
-    GridMismatchError,
-    NotInjectiveError,
-    RangeViolationError,
-)
+from .errors import ConfigError, GridMismatchError, RangeViolationError
 from .features import closed_form_discrepancy
 from .io import load_function_csv, save_function_csv
-from .kernel import _solve_columns, condition_number, spectral_data, validate_psd
+from .kernel import condition_number, spectral_data, validate_psd
 from .report import SCHEMA_VERSION, criterion, dump_report, write_report
+from .rkhs import verify_reproducing
 from .transform import check_injectivity, invert as transform_invert, verify_identities
 
 # fixed tolerances of the verification suite; the config only controls the
@@ -69,12 +65,19 @@ def _conditioning_block(kernel, cutoff_rel):
     }, cond
 
 
-def _random_range_functions(kernel, rng, trials):
-    """Images ``gram @ W @ raw`` of random columns: ``size x trials``, in range."""
-    raw = rng.standard_normal((kernel.size, trials))
-    if np.iscomplexobj(kernel.gram):
-        raw = raw + 1j * rng.standard_normal((kernel.size, trials))
-    return kernel.gram @ (kernel.grid.weights[:, None] * raw)
+def _weighted_block(weighted, tol_diag):
+    return {
+        "is_weighted_l2": weighted.is_weighted_l2,
+        "offdiag_ratio": weighted.offdiag_ratio,
+        "tolerance": tol_diag,
+        "weight_v": None if weighted.weight_v is None else weighted.weight_v.values,
+        "weight_w": None if weighted.weight_w is None else weighted.weight_w.values,
+    }
+
+
+def _bound(name, value, tol, note=None):
+    """A criterion that passes when ``value`` is at most ``tol``."""
+    return criterion(name, value, tol, value <= tol, note=note)
 
 
 def _skip(name, note):
@@ -108,13 +111,6 @@ def run_verify(config: RunConfig):
     )
     conditioning, cond = _conditioning_block(kernel, config.cutoff_rel)
     weighted = check_weighted_l2(kernel, config.tol_diag)
-    weighted_block = {
-        "is_weighted_l2": weighted.is_weighted_l2,
-        "offdiag_ratio": weighted.offdiag_ratio,
-        "tolerance": config.tol_diag,
-        "weight_v": None if weighted.weight_v is None else weighted.weight_v.values,
-        "weight_w": None if weighted.weight_w is None else weighted.weight_w.values,
-    }
 
     if not psd.passed:
         flags.append("kernel failed nonnegative-definiteness; identity suite skipped")
@@ -129,51 +125,20 @@ def run_verify(config: RunConfig):
             repro_note = (
                 f"tolerance relaxed: condition number {cond:.3e} exceeds {CONDITION_GATE:.0e}"
             )
-        rng = np.random.default_rng(config.seed)
-        F = _random_range_functions(kernel, rng, config.trials)
-
-        # every trial in one solve: x = K^{-1} f column-wise, gated on range
-        X, residuals = _solve_columns(kernel, F, config.cutoff_rel)
-        offending = np.flatnonzero(residuals > config.range_tol)
-        if offending.size:
-            raise RangeViolationError(float(residuals[offending[0]]), config.range_tol)
-        weights = kernel.grid.weights[:, None]
-        # reproducing: [f, K(., q)] = (gram W K^{-1} f)(q) at every q
-        recon = kernel.gram @ (weights * X)
-        worst_repro = float(np.max(np.abs(recon - F) / (1.0 + np.abs(F))))
-        # point evaluation: |f(q)| <= ||f|| sqrt(K(q, q)) with ||f||^2 = (K^{-1} f, f)
-        norm_f = np.sqrt(np.clip(np.sum(weights * X * np.conj(F), axis=0).real, 0.0, None))
-        sqrt_diag = np.sqrt(np.clip(np.real(np.diag(kernel.gram)), 0.0, None))
-        rhs = sqrt_diag[:, None] * norm_f[None, :]
-        worst_excess = float(np.max((np.abs(F) - rhs) / (1.0 + rhs)))
+        rep = verify_reproducing(
+            kernel, config.cutoff_rel, config.trials, config.seed, config.range_tol
+        )
+        criteria.append(_bound("reproducing", rep.max_residual, repro_tol, note=repro_note))
+        criteria.append(_bound("point_eval_bound", rep.max_excess, POINT_EVAL_SLACK))
         criteria.append(
-            criterion("reproducing", worst_repro, repro_tol,
-                      worst_repro <= repro_tol, note=repro_note)
+            _bound("point_eval_equality", rep.section_equality_defect, POINT_EVAL_SLACK)
         )
         identities["reproducing"] = {
-            "max_residual": worst_repro, "tolerance": repro_tol, "trials": config.trials,
+            "max_residual": rep.max_residual, "tolerance": repro_tol, "trials": config.trials,
         }
-        criteria.append(
-            criterion("point_eval_bound", worst_excess, POINT_EVAL_SLACK,
-                      worst_excess <= POINT_EVAL_SLACK)
-        )
-
-        # equality of the bound at kernel sections: one batched solve for all
-        sections = kernel.gram
-        x_all, _ = _solve_columns(kernel, sections, config.cutoff_rel)
-        norms_sq = np.real(
-            np.sum(kernel.grid.weights[:, None] * x_all * np.conj(sections), axis=0)
-        )
-        norms = np.sqrt(np.clip(norms_sq, 0.0, None))
-        kqq = np.real(np.diag(kernel.gram))
-        equality_defect = float(np.max(np.abs(kqq - norms * sqrt_diag) / (1.0 + np.abs(kqq))))
-        criteria.append(
-            criterion("point_eval_equality", equality_defect, POINT_EVAL_SLACK,
-                      equality_defect <= POINT_EVAL_SLACK)
-        )
         identities["point_eval"] = {
-            "max_excess": worst_excess,
-            "section_equality_defect": equality_defect,
+            "max_excess": rep.max_excess,
+            "section_equality_defect": rep.section_equality_defect,
             "tolerance": POINT_EVAL_SLACK,
         }
         timings["rkhs_suite_s"] = time.perf_counter() - t_suite
@@ -185,33 +150,15 @@ def run_verify(config: RunConfig):
         t_transform = time.perf_counter()
         op = built.operator
         idrep = verify_identities(op, config.cutoff_rel, config.trials, config.seed)
-        injectivity_block = {
-            "injective": idrep.injective,
-            "numerical_rank": idrep.numerical_rank,
-            "deficiency": op.grid_T.size - idrep.numerical_rank,
-        }
+        injectivity_block = dataclasses.asdict(check_injectivity(op))
         criteria.append(
-            criterion("factorization", idrep.factorization_residual, FACTORIZATION_TOL,
-                      idrep.factorization_residual <= FACTORIZATION_TOL)
+            _bound("factorization", idrep.factorization_residual, FACTORIZATION_TOL)
         )
-        criteria.append(
-            criterion("adjointness", idrep.adjointness_defect, ADJOINTNESS_TOL,
-                      idrep.adjointness_defect <= ADJOINTNESS_TOL)
-        )
-        gated = idrep.injective and idrep.condition_number <= CONDITION_GATE
-        if gated:
-            criteria.append(
-                criterion("isometry", idrep.isometry_defect, ISOMETRY_TOL,
-                          idrep.isometry_defect <= ISOMETRY_TOL)
-            )
-            criteria.append(
-                criterion("roundtrip", idrep.roundtrip_error, ROUNDTRIP_TOL,
-                          idrep.roundtrip_error <= ROUNDTRIP_TOL)
-            )
-            criteria.append(
-                criterion("norm_identity", idrep.norm_defect, NORM_IDENTITY_TOL,
-                          idrep.norm_defect <= NORM_IDENTITY_TOL)
-            )
+        criteria.append(_bound("adjointness", idrep.adjointness_defect, ADJOINTNESS_TOL))
+        if idrep.injective and idrep.condition_number <= CONDITION_GATE:
+            criteria.append(_bound("isometry", idrep.isometry_defect, ISOMETRY_TOL))
+            criteria.append(_bound("roundtrip", idrep.roundtrip_error, ROUNDTRIP_TOL))
+            criteria.append(_bound("norm_identity", idrep.norm_defect, NORM_IDENTITY_TOL))
         else:
             if not idrep.injective:
                 note = "skipped: transform is not injective"
@@ -234,22 +181,18 @@ def run_verify(config: RunConfig):
             "trials": idrep.trials,
         }
         if idrep.injective:
-            uni = check_unitary_inversion(
-                op, config.cutoff_rel, config.trials, config.seed, config.tol_diag
-            )
-            equivalence = (
-                (uni.l2_adjoint_error <= PLAIN_ADJOINT_TOL) == weighted.is_weighted_l2
-            )
+            plain = idrep.plain_adjoint_error
+            equivalence = (plain <= PLAIN_ADJOINT_TOL) == weighted.is_weighted_l2
             unitary_block = {
-                "l2_adjoint_error": uni.l2_adjoint_error,
-                "rkhs_adjoint_error": uni.rkhs_adjoint_error,
+                "l2_adjoint_error": plain,
+                # the round trip on an injective transform is the inverse-kernel adjoint
+                "rkhs_adjoint_error": idrep.roundtrip_error,
                 "equivalence_holds": equivalence,
             }
             criteria.append(
                 criterion(
                     "weighted_l2_equivalence",
-                    {"l2_adjoint_error": uni.l2_adjoint_error,
-                     "is_weighted_l2": weighted.is_weighted_l2},
+                    {"l2_adjoint_error": plain, "is_weighted_l2": weighted.is_weighted_l2},
                     PLAIN_ADJOINT_TOL,
                     equivalence,
                     note="diagonal verdict must match plain-adjoint invertibility",
@@ -277,7 +220,7 @@ def run_verify(config: RunConfig):
         "conditioning": conditioning,
         "identities": identities,
         "injectivity": injectivity_block,
-        "weighted_l2": weighted_block,
+        "weighted_l2": _weighted_block(weighted, config.tol_diag),
         "unitary_inversion": unitary_block,
         "closed_form": closed_form_block,
         "criteria": criteria,
@@ -315,11 +258,7 @@ def run_invert(config: RunConfig, data_path, out_path):
         "range_tolerance": config.range_tol,
     }
     inj = check_injectivity(op)
-    report["injectivity"] = {
-        "injective": inj.injective,
-        "numerical_rank": inj.numerical_rank,
-        "deficiency": inj.deficiency,
-    }
+    report["injectivity"] = dataclasses.asdict(inj)
     if not inj.injective:
         report["error"] = "transform is not injective"
         report["timings"] = {"total_s": time.perf_counter() - started}
@@ -345,13 +284,7 @@ def run_analyze(config: RunConfig):
         "command": "analyze",
         "config": config.echo(),
         "seed": config.seed,
-        "weighted_l2": {
-            "is_weighted_l2": weighted.is_weighted_l2,
-            "offdiag_ratio": weighted.offdiag_ratio,
-            "tolerance": config.tol_diag,
-            "weight_v": None if weighted.weight_v is None else weighted.weight_v.values,
-            "weight_w": None if weighted.weight_w is None else weighted.weight_w.values,
-        },
+        "weighted_l2": _weighted_block(weighted, config.tol_diag),
         "timings": {"total_s": time.perf_counter() - started},
     }
     return EXIT_OK, report
@@ -413,9 +346,6 @@ def main(argv=None) -> int:
             except GridMismatchError as exc:
                 sys.stderr.write(f"data error: {exc}\n")
                 return EXIT_CONFIG
-            except (NotInjectiveError, RangeViolationError) as exc:
-                sys.stderr.write(f"inversion error: {exc}\n")
-                return EXIT_RANGE
             _emit(report, args.report)
             return code
         code, report = run_analyze(config)
@@ -425,10 +355,7 @@ def main(argv=None) -> int:
         # LinAlgError subclasses ValueError, so it must be caught first
         sys.stderr.write(f"numerical error: {exc}\n")
         return EXIT_NUMERICAL
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
 

@@ -123,13 +123,17 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _require_object(value, field: str) -> None:
+    _require(isinstance(value, dict), f"{field} must be an object")
+
+
 def _is_int(value) -> bool:
     # JSON true/false parse as bool, which is an int subclass; reject them
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_grid(raw, label: str) -> GridSpec:
-    _require(isinstance(raw, dict), f"grids.{label} must be an object")
+    _require_object(raw, f"grids.{label}")
     _require("interval" in raw, f"grids.{label}.interval is required")
     interval = raw["interval"]
     _require(
@@ -153,6 +157,7 @@ def _parse_grid(raw, label: str) -> GridSpec:
             density_name in DENSITY_NAMES,
             f"grids.{label}.density.name must be one of {DENSITY_NAMES}",
         )
+        _require_object(dens.get("params", {}), f"grids.{label}.density.params")
         density_params = dict(dens.get("params", {}))
     known = {"interval", "n", "rule", "density"}
     unknown = set(raw) - known
@@ -164,7 +169,7 @@ def _parse_grid(raw, label: str) -> GridSpec:
 
 
 def _parse_source(raw) -> tuple[str, dict]:
-    _require(isinstance(raw, dict), "source must be an object")
+    _require_object(raw, "source")
     declared = [key for key in SOURCE_KEYS if key in raw]
     unknown = set(raw) - set(SOURCE_KEYS)
     _require(not unknown, f"source has unknown fields: {sorted(unknown)}")
@@ -175,19 +180,21 @@ def _parse_source(raw) -> tuple[str, dict]:
         )
     kind = declared[0]
     params = raw[kind]
-    _require(isinstance(params, dict), f"source.{kind} must be an object")
+    _require_object(params, f"source.{kind}")
     if kind == "kernel":
         _require("name" in params, "source.kernel.name is required")
         _require(
             params["name"] in BUILTIN_KERNEL_NAMES,
             f"source.kernel.name must be one of {BUILTIN_KERNEL_NAMES}",
         )
+        _require_object(params.get("params", {}), "source.kernel.params")
     elif kind == "feature_family":
         _require("family" in params, "source.feature_family.family is required")
         _require(
             params["family"] in FAMILY_NAMES,
             f"source.feature_family.family must be one of {FAMILY_NAMES}",
         )
+        _require_object(params.get("params", {}), "source.feature_family.params")
     else:
         _require("path" in params, "source.csv.path is required")
         csv_kind = params.get("kind", "kernel")
@@ -222,6 +229,7 @@ def parse_config(raw: dict) -> RunConfig:
     _require("source" in raw, "source is required")
     source_kind, source_params = _parse_source(raw["source"])
 
+    _require_object(raw.get("tolerances", {}), "tolerances")
     tolerances = dict(_TOLERANCE_DEFAULTS)
     for key, value in raw.get("tolerances", {}).items():
         _require(key in _TOLERANCE_DEFAULTS, f"tolerances.{key} is not a known tolerance")
@@ -262,12 +270,13 @@ def _family_from_params(params: dict) -> FeatureFamily:
         spec = params["weight"]
         _require(
             isinstance(spec, dict) and "name" in spec,
-            "source.feature_family.params.weight needs a density name",
+            "source.feature_family.weight needs a density name",
         )
         _require(
             spec["name"] in DENSITY_NAMES,
             f"feature weight name must be one of {DENSITY_NAMES}",
         )
+        _require_object(spec.get("params", {}), "source.feature_family.weight.params")
         weight = make_density(spec["name"], dict(spec.get("params", {})))
     family_params = dict(params.get("params", {}))
     try:

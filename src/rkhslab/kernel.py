@@ -10,7 +10,8 @@ for restriction to the operator range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -39,11 +40,22 @@ class KernelMatrix:
     grid: Grid
     gram: np.ndarray
     hermitian_defect: float
-    _eigh_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return self.grid.size
+
+    @cached_property
+    def weighted_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs of ``S = sqrt(W) gram sqrt(W)``, descending; computed once, on first use."""
+        sw = np.sqrt(self.grid.weights)
+        S = sw[:, None] * self.gram * sw[None, :]
+        # rebinding frees the unsymmetrized form before eigh runs
+        S = 0.5 * (S + S.conj().T)
+        lam, U = np.linalg.eigh(S)
+        # a fancy index keeps U Fortran-ordered; the solves' last digits depend on it
+        order = np.arange(lam.size - 1, -1, -1)
+        return lam[order], U[:, order]
 
 
 @dataclass(frozen=True)
@@ -151,23 +163,11 @@ def builtin_kernel(name: str, **params) -> Callable:
 BUILTIN_KERNEL_NAMES = ("brownian", "gaussian", "sinc", "constant")
 
 
-def _weighted_eigh(K: KernelMatrix):
-    """Eigendecomposition of S = sqrt(W) gram sqrt(W), cached, descending order."""
-    if K._eigh_cache is None:
-        sw = np.sqrt(K.grid.weights)
-        S = sw[:, None] * K.gram * sw[None, :]
-        S = 0.5 * (S + S.conj().T)
-        lam, U = np.linalg.eigh(S)
-        order = np.arange(lam.size - 1, -1, -1)
-        K._eigh_cache = (lam[order], U[:, order])
-    return K._eigh_cache
-
-
 def spectral_data(K: KernelMatrix, cutoff_rel: float = DEFAULT_CUTOFF_REL) -> SpectralData:
     """Spectral factorization with the rank cutoff ``cutoff_rel * lambda_max``."""
     if not 0 < cutoff_rel < 1:
         raise ValueError("cutoff_rel must lie in (0, 1)")
-    lam, U = _weighted_eigh(K)
+    lam, U = K.weighted_eigh
     lam_max = max(float(lam[0]), 0.0) if lam.size else 0.0
     cutoff = cutoff_rel * lam_max
     rank = int(np.count_nonzero(lam > cutoff))
@@ -182,7 +182,7 @@ def validate_psd(K: KernelMatrix, tol_psd: float) -> PsdReport:
     Passes iff the minimum eigenvalue of ``sqrt(W) gram sqrt(W)`` is at least
     ``-tol_psd``.
     """
-    lam, _ = _weighted_eigh(K)
+    lam, _ = K.weighted_eigh
     min_eig = float(lam[-1])
     return PsdReport(passed=min_eig >= -tol_psd, min_eigenvalue=min_eig)
 
@@ -257,10 +257,4 @@ def solve_kernel_system(
 def range_residual(K: KernelMatrix, f: DiscreteFunction, cutoff_rel: float = DEFAULT_CUTOFF_REL) -> float:
     """Relative weighted-L2 mass of ``f`` outside the numerical range of ``K``."""
     ensure_aligned(f, K.grid)
-    spec = spectral_data(K, cutoff_rel)
-    sw = np.sqrt(K.grid.weights)
-    coeffs = spec.eigenvectors.conj().T @ (sw * f.values)
-    total = float(np.linalg.norm(coeffs))
-    if total == 0.0:
-        return 0.0
-    return float(np.linalg.norm(coeffs[spec.numerical_rank :]) / total)
+    return _solve_columns(K, f.values, cutoff_rel)[1]

@@ -2,11 +2,13 @@
 
 Reports are deterministic for a fixed config and seed: identical runs produce
 byte-identical JSON except for the ``timings`` object, which carries all
-wall-clock data and nothing else.
+wall-clock data and nothing else.  Non-finite floats, which JSON cannot
+represent, are written as ``null``.
 """
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -27,9 +29,9 @@ def jsonify(obj: Any) -> Any:
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": jsonify(obj.real), "im": jsonify(obj.imag)}
     return obj
 
 
@@ -45,7 +47,7 @@ def criterion(name: str, value, tolerance, passed, note: str | None = None) -> d
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(jsonify(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(jsonify(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_report(report: dict, path) -> None:

@@ -4,7 +4,8 @@ The space inner product is ``[f, g] = (K^{-1} f, g)`` in the weighted L2
 product, with the inverse realized by the spectral pseudo-inverse of the
 kernel operator.  Every identity here is checkable at finite scale: the
 reproducing identity, the point-evaluation bound, and least-squares
-projections onto finite spans of kernel sections.
+projections onto finite spans of kernel sections.  ``verify_reproducing``
+measures the first two over seeded random trials in batched solves.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .kernel import (
     DEFAULT_CUTOFF_REL,
     DEFAULT_RANGE_TOL,
     KernelMatrix,
-    SpectralData,
+    _solve_columns,
     range_residual,
     solve_kernel_system,
     spectral_data,
@@ -27,10 +28,9 @@ from .kernel import (
 
 @dataclass
 class RkhsSpace:
-    """A kernel matrix together with its spectral data and solve thresholds."""
+    """A kernel matrix together with its solve thresholds."""
 
     kernel: KernelMatrix
-    spectral: SpectralData
     cutoff_rel: float
     range_tol: float
 
@@ -47,6 +47,15 @@ class PointEvalBound:
 
 
 @dataclass(frozen=True)
+class ReproducingReport:
+    """Worst reproducing residual, point-evaluation excess and section-equality defect."""
+
+    max_residual: float
+    max_excess: float
+    section_equality_defect: float
+
+
+@dataclass(frozen=True)
 class SectionProjection:
     coefficients: np.ndarray
     residual_norm: float
@@ -58,12 +67,8 @@ def make_rkhs_space(
     cutoff_rel: float = DEFAULT_CUTOFF_REL,
     range_tol: float = DEFAULT_RANGE_TOL,
 ) -> RkhsSpace:
-    return RkhsSpace(
-        kernel=kernel,
-        spectral=spectral_data(kernel, cutoff_rel),
-        cutoff_rel=cutoff_rel,
-        range_tol=range_tol,
-    )
+    spectral_data(kernel, cutoff_rel)  # validates cutoff_rel, decomposes up front
+    return RkhsSpace(kernel=kernel, cutoff_rel=cutoff_rel, range_tol=range_tol)
 
 
 def kernel_section(space: RkhsSpace, q_index: int) -> DiscreteFunction:
@@ -129,6 +134,49 @@ def point_eval_bound(space: RkhsSpace, f: DiscreteFunction, q_index: int) -> Poi
     kqq = float(space.kernel.gram[q_index, q_index].real)
     rhs = rkhs_norm(space, f) * np.sqrt(max(kqq, 0.0))
     return PointEvalBound(lhs=lhs, rhs=float(rhs), holds=lhs <= rhs * (1.0 + 1e-10))
+
+
+def _random_range_functions(kernel: KernelMatrix, rng, trials: int) -> np.ndarray:
+    """Images ``gram @ W @ raw`` of random columns: ``size x trials``, in range."""
+    raw = rng.standard_normal((kernel.size, trials))
+    if np.iscomplexobj(kernel.gram):
+        raw = raw + 1j * rng.standard_normal((kernel.size, trials))
+    return kernel.gram @ (kernel.grid.weights[:, None] * raw)
+
+
+def verify_reproducing(
+    kernel: KernelMatrix, cutoff_rel: float, trials: int, seed: int, range_tol: float
+) -> ReproducingReport:
+    """Reproducing identity and point-evaluation bound over seeded random trials.
+
+    The in-range trial functions share one batched solve and the kernel
+    sections, where the bound is an equality, a second.  Raises
+    ``RangeViolationError`` with the residual of the first trial that has
+    more than ``range_tol`` of its mass outside the numerical range.
+    """
+    F = _random_range_functions(kernel, np.random.default_rng(seed), trials)
+    X, residuals = _solve_columns(kernel, F, cutoff_rel)
+    offending = np.flatnonzero(residuals > range_tol)
+    if offending.size:
+        raise RangeViolationError(float(residuals[offending[0]]), range_tol)
+    weights = kernel.grid.weights[:, None]
+    # reproducing: [f, K(., q)] = (gram W K^{-1} f)(q) at every q
+    recon = kernel.gram @ (weights * X)
+    max_residual = float(np.max(np.abs(recon - F) / (1.0 + np.abs(F))))
+    # point evaluation: |f(q)| <= ||f|| sqrt(K(q, q)) with ||f||^2 = (K^{-1} f, f)
+    norm_f = np.sqrt(np.clip(np.sum(weights * X * np.conj(F), axis=0).real, 0.0, None))
+    kqq = np.real(np.diag(kernel.gram))
+    sqrt_diag = np.sqrt(np.clip(kqq, 0.0, None))
+    rhs = sqrt_diag[:, None] * norm_f[None, :]
+    max_excess = float(np.max((np.abs(F) - rhs) / (1.0 + rhs)))
+    # equality of the bound at the kernel sections K(., q), the columns of gram
+    x_all, _ = _solve_columns(kernel, kernel.gram, cutoff_rel)
+    norms_sq = np.real(np.sum(weights * x_all * np.conj(kernel.gram), axis=0))
+    norms = np.sqrt(np.clip(norms_sq, 0.0, None))
+    defect = float(np.max(np.abs(kqq - norms * sqrt_diag) / (1.0 + np.abs(kqq))))
+    return ReproducingReport(
+        max_residual=max_residual, max_excess=max_excess, section_equality_defect=defect
+    )
 
 
 def project_onto_sections(

@@ -95,11 +95,13 @@ class IdentityReport:
     worst defect of the space inner product against the source L2 product.
     norm_defect: worst relative gap between image space-norm and source norm.
     adjointness_defect: worst defect of the duality pairing between forward
-    and adjoint.
+    and adjoint.  plain_adjoint_error: worst relative error of recovery by
+    the plain adjoint, adjoint∘forward against the identity.
     """
 
     factorization_residual: float
     roundtrip_error: float
+    plain_adjoint_error: float
     isometry_defect: float
     norm_defect: float
     adjointness_defect: float
@@ -214,6 +216,7 @@ def verify_identities(
 
     back = op.adjoint_matrix @ x
     roundtrip = float(np.max(_column_norms(m, back - F) / f_norms))
+    plain = float(np.max(_column_norms(m, op.adjoint_matrix @ f_img - F) / f_norms))
 
     # [LF, LG] via the solved K^{-1} LF against LG in the E-grid product
     space_inner = np.sum(w[:, None] * x * np.conj(g_img), axis=0)
@@ -226,7 +229,7 @@ def verify_identities(
 
     # duality pairing (LF, g)_E == (F, L* g)_T on fresh random pairs
     g_rand = _random_matrix(rng, op.grid_E.size, trials, complex_mode)
-    pair_lhs = np.sum(w[:, None] * (op.forward_matrix @ F) * np.conj(g_rand), axis=0)
+    pair_lhs = np.sum(w[:, None] * f_img * np.conj(g_rand), axis=0)
     pair_rhs = np.sum(m[:, None] * F * np.conj(op.adjoint_matrix @ g_rand), axis=0)
     g_rand_norms = _column_norms(w, g_rand)
     adjointness = float(np.max(np.abs(pair_lhs - pair_rhs) / (f_norms * g_rand_norms)))
@@ -234,6 +237,7 @@ def verify_identities(
     return IdentityReport(
         factorization_residual=factorization,
         roundtrip_error=roundtrip,
+        plain_adjoint_error=plain,
         isometry_defect=isometry,
         norm_defect=norm_defect,
         adjointness_defect=adjointness,

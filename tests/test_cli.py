@@ -82,6 +82,51 @@ class TestConfigParsing:
         assert built.grid_E.weights.sum() == pytest.approx(1.5, abs=1e-6)
 
 
+def _with(doc, path, value):
+    """Copy of ``doc`` with the entry at the key ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[last] = value
+    return doc
+
+
+def kernel_config(name, params=None, n=40):
+    kernel = {"name": name} if params is None else {"name": name, "params": params}
+    return {
+        "grids": {"E": {"interval": [0.0, 1.0], "n": n, "rule": "trapezoid"}},
+        "source": {"kernel": kernel},
+        "trials": 5,
+        "seed": 1,
+    }
+
+
+MALFORMED_SHAPES = {
+    "kernel-params": kernel_config("gaussian", params=[0.2]),
+    "family-params": _with(
+        indicator_config(), ("source", "feature_family"),
+        {"family": "gaussian", "params": [0.1]},
+    ),
+    "tolerances": _with(indicator_config(), ("tolerances",), [1e-12]),
+    "density-params": _with(
+        indicator_config(), ("grids", "E", "density"), {"name": "linear", "params": [1.0]}
+    ),
+    "weight-params": _with(
+        indicator_config(), ("source", "feature_family"),
+        {"family": "orthonormal_diagonal", "weight": {"name": "linear", "params": [1.0]}},
+    ),
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_SHAPES.values(), ids=MALFORMED_SHAPES.keys())
+def test_malformed_shape_is_config_error(tmp_path, capsys, doc):
+    code = main(["verify", "--config", str(write_config(tmp_path, doc))])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_indicator_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, indicator_config())
@@ -172,6 +217,18 @@ class TestVerifyCommand:
         cfg = write_config(tmp_path, indicator_config())
         monkeypatch.setenv("RKHSLAB_SEED", "not-a-number")
         assert main(["verify", "--config", str(cfg)]) == 2
+
+    def test_zero_kernel_report_is_strict_json(self, tmp_path):
+        cfg = write_config(tmp_path, kernel_config("constant", params={"value": 0.0}))
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert report["conditioning"]["numerical_rank"] == 0
+        assert report["conditioning"]["condition_number"] is None
 
     def test_stdout_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, indicator_config(n=40, trials=5))

@@ -1,16 +1,19 @@
-"""How often each command decomposes, and the batched trial suite of verify.
+"""How often each command decomposes and solves, and the batched trial suites of verify.
 
 Feature sources decompose ``sqrt(m) H sqrt(w)`` once (values-only SVD,
 cached on the operator) and the weighted kernel form once (``eigh``, cached
-on the kernel).  The reproducing and point-evaluation trials of ``verify``
-share one batched solve; their report values must match a per-trial
-recomputation with the library's single-function routines.
+on the kernel).  ``verify`` makes one batched solve for the reproducing and
+point-evaluation trials, one for the kernel sections and, on a feature
+source, one for the transform trials; its report values must match a
+per-trial recomputation with the library's single-function routines.
 """
+import sys
+
 import numpy as np
 import pytest
 
 import rkhslab as rl
-from rkhslab import cli
+from rkhslab import cli, kernel as kernel_module
 from rkhslab.config import build_objects, parse_config
 from rkhslab.io import save_function_csv
 
@@ -52,6 +55,22 @@ def decompositions(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
+
+
+@pytest.fixture
+def batched_solves(monkeypatch):
+    """Counts ``_solve_columns`` calls, patched in every module that binds it."""
+    original = kernel_module._solve_columns
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rkhslab") and getattr(module, "_solve_columns", None) is original:
+            monkeypatch.setattr(module, "_solve_columns", counted)
+    return calls
 
 
 def write_invert_data(tmp_path, config, seed=11):
@@ -103,6 +122,17 @@ class TestDecompositionCounts:
         assert code == cli.EXIT_OK
         assert report["injectivity"] is None
         assert decompositions == {"svd": 0, "eigh": 1}
+
+    def test_feature_verify_three_batched_solves(self, batched_solves):
+        code, report = cli.run_verify(parse_config(indicator_doc()))
+        assert code == cli.EXIT_OK
+        assert report["unitary_inversion"] is not None
+        assert len(batched_solves) == 3
+
+    def test_kernel_verify_two_batched_solves(self, batched_solves):
+        code, _ = cli.run_verify(parse_config(kernel_doc("brownian", 60)))
+        assert code == cli.EXIT_OK
+        assert len(batched_solves) == 2
 
     def test_singular_values_cached_on_operator(self, indicator_op, decompositions):
         op = rl.build_transform(indicator_op.feature)
@@ -159,6 +189,15 @@ class TestBatchedTrialSuite:
         values = {c["name"]: c["value"] for c in report["criteria"]}
         assert values["reproducing"] == batched["reproducing"]["max_residual"]
         assert values["point_eval_bound"] == batched["point_eval"]["max_excess"]
+        kernel = build_objects(config).kernel
+        direct = rl.verify_reproducing(
+            kernel, config.cutoff_rel, config.trials, config.seed, config.range_tol
+        )
+        assert abs(direct.max_residual - worst_repro) <= 1e-14
+        assert abs(direct.max_excess - worst_excess) <= 1e-14
+        assert direct.max_residual == batched["reproducing"]["max_residual"]
+        assert direct.max_excess == batched["point_eval"]["max_excess"]
+        assert direct.section_equality_defect == values["point_eval_equality"]
 
     def test_range_gate_raises_at_first_trial(self):
         config = parse_config(kernel_doc("sinc", 200, range_tol=1e-300))
@@ -189,3 +228,20 @@ class TestBatchedTrialSuite:
         with pytest.raises(rl.RangeViolationError) as err:
             cli.run_verify(gated)
         assert abs(err.value.residual - first) <= 1e-15
+
+
+class TestOneTrialPass:
+    """The unitary-inversion errors come from the transform trials of ``verify_identities``."""
+
+    @pytest.mark.parametrize("fixture", ["indicator_op", "orthonormal_op"])
+    def test_check_unitary_inversion_reads_identities(self, request, fixture):
+        op = request.getfixturevalue(fixture)
+        identities = rl.verify_identities(op, 1e-12, 15, 5)
+        uni = rl.check_unitary_inversion(op, 1e-12, 15, 5)
+        assert uni.l2_adjoint_error == identities.plain_adjoint_error
+        assert uni.rkhs_adjoint_error == identities.roundtrip_error
+
+    def test_verify_report_rkhs_adjoint_error_is_roundtrip(self):
+        _, report = cli.run_verify(parse_config(indicator_doc()))
+        transform = report["identities"]["transform"]
+        assert report["unitary_inversion"]["rkhs_adjoint_error"] == transform["roundtrip_error"]
