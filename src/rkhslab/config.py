@@ -13,11 +13,19 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConfigError
+from .analysis import DEFAULT_TOL_DIAG
+from .errors import ConfigError, GridMismatchError, NonHermitianKernelError
 from .features import FAMILY_NAMES, FeatureFamily, make_feature_map, recommended_t_interval
 from .grid import QUADRATURE_RULES, Grid, make_uniform_grid
 from .io import load_feature_csv, load_kernel_csv
-from .kernel import BUILTIN_KERNEL_NAMES, KernelMatrix, assemble_kernel, builtin_kernel
+from .kernel import (
+    BUILTIN_KERNEL_NAMES,
+    DEFAULT_CUTOFF_REL,
+    DEFAULT_RANGE_TOL,
+    KernelMatrix,
+    assemble_kernel,
+    builtin_kernel,
+)
 from .transform import TransformOperator, build_transform
 
 SOURCE_KEYS = ("kernel", "feature_family", "csv")
@@ -25,10 +33,10 @@ SOURCE_KEYS = ("kernel", "feature_family", "csv")
 DENSITY_NAMES = ("constant", "linear", "exponential")
 
 _TOLERANCE_DEFAULTS = {
-    "cutoff_rel": 1e-12,
+    "cutoff_rel": DEFAULT_CUTOFF_REL,
     "tol_psd": 1e-10,
-    "tol_diag": 1e-8,
-    "range_tol": 1e-6,
+    "tol_diag": DEFAULT_TOL_DIAG,
+    "range_tol": DEFAULT_RANGE_TOL,
 }
 
 
@@ -342,5 +350,5 @@ def build_objects(config: RunConfig) -> BuiltObjects:
         return BuiltObjects(
             grid_E=grid_E, grid_T=grid_T, kernel=op.induced, operator=op, family=None
         )
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, GridMismatchError, NonHermitianKernelError) as exc:
         raise ConfigError(f"source.csv: {exc}") from exc

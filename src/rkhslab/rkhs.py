@@ -20,7 +20,6 @@ from .kernel import (
     DEFAULT_RANGE_TOL,
     KernelMatrix,
     _solve_columns,
-    range_residual,
     solve_kernel_system,
     spectral_data,
 )
@@ -83,14 +82,18 @@ def rkhs_inner(space: RkhsSpace, f: DiscreteFunction, g: DiscreteFunction) -> co
     """Inner product ``(K^{-1} f, g)`` in the weighted L2 product.
 
     Both arguments must lie in the numerical range of the kernel operator;
-    otherwise ``RangeViolationError`` is raised.
+    otherwise ``RangeViolationError`` is raised, for ``g`` first.  One
+    batched solve of ``[g, f]`` yields both range residuals and ``K^{-1} f``.
     """
     ensure_aligned(g, space.grid)
-    g_res = range_residual(space.kernel, g, space.cutoff_rel)
-    if g_res > space.range_tol:
-        raise RangeViolationError(g_res, space.range_tol)
-    solved = solve_kernel_system(space.kernel, f, space.cutoff_rel, space.range_tol)
-    return inner_product_l2(solved.solution, g, space.grid)
+    ensure_aligned(f, space.grid)
+    x, residuals = _solve_columns(
+        space.kernel, np.column_stack([g.values, f.values]), space.cutoff_rel
+    )
+    for residual in residuals:
+        if residual > space.range_tol:
+            raise RangeViolationError(float(residual), space.range_tol)
+    return inner_product_l2(DiscreteFunction(values=x[:, 1], grid=space.grid), g, space.grid)
 
 
 def rkhs_norm(space: RkhsSpace, f: DiscreteFunction) -> float:

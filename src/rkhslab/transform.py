@@ -50,11 +50,9 @@ class FeatureMap:
 
 @dataclass
 class TransformOperator:
-    """A transform, its adjoint, and the induced kernel, all as dense matrices."""
+    """A feature matrix and its induced kernel; forward and adjoint are formed per use."""
 
     feature: FeatureMap
-    forward_matrix: np.ndarray  # N x M, maps samples on T to samples on E
-    adjoint_matrix: np.ndarray  # M x N, the weighted-L2 adjoint
     induced: KernelMatrix
 
     @property
@@ -119,29 +117,32 @@ class InversionResult:
     range_residual: float
 
 
+def _forward(feature: FeatureMap) -> np.ndarray:
+    """``Hᴴ diag(m)``, N x M: maps samples on T to samples on E."""
+    return feature.matrix.conj().T * feature.grid_T.weights[None, :]
+
+
+def _adjoint(feature: FeatureMap) -> np.ndarray:
+    """``H diag(w)``, M x N: the weighted-L2 adjoint."""
+    return feature.matrix * feature.grid_E.weights[None, :]
+
+
 def build_transform(feature: FeatureMap) -> TransformOperator:
-    """Assemble forward, adjoint and induced-kernel matrices from a feature map."""
-    H = feature.matrix
-    m = feature.grid_T.weights
-    w = feature.grid_E.weights
-    forward = H.conj().T * m[None, :]
-    adjoint = H * w[None, :]
-    induced = kernel_from_gram(forward @ H, feature.grid_E)
-    return TransformOperator(
-        feature=feature, forward_matrix=forward, adjoint_matrix=adjoint, induced=induced
-    )
+    """Wrap a feature map with its induced kernel ``Hᴴ diag(m) H``."""
+    induced = kernel_from_gram(_forward(feature) @ feature.matrix, feature.grid_E)
+    return TransformOperator(feature=feature, induced=induced)
 
 
 def apply_forward(op: TransformOperator, F: DiscreteFunction) -> DiscreteFunction:
     """Apply the transform to a function on grid T, yielding one on grid E."""
     ensure_aligned(F, op.grid_T)
-    return DiscreteFunction(values=op.forward_matrix @ F.values, grid=op.grid_E)
+    return DiscreteFunction(values=_forward(op.feature) @ F.values, grid=op.grid_E)
 
 
 def apply_adjoint(op: TransformOperator, g: DiscreteFunction) -> DiscreteFunction:
     """Apply the weighted-L2 adjoint to a function on grid E."""
     ensure_aligned(g, op.grid_E)
-    return DiscreteFunction(values=op.adjoint_matrix @ g.values, grid=op.grid_T)
+    return DiscreteFunction(values=_adjoint(op.feature) @ g.values, grid=op.grid_T)
 
 
 def check_injectivity(op: TransformOperator, tol_rank: float = 1e-10) -> InjectivityReport:
@@ -190,33 +191,33 @@ def verify_identities(
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    H = op.feature.matrix
     m = op.grid_T.weights
     w = op.grid_E.weights
-    complex_mode = np.iscomplexobj(H)
+    complex_mode = np.iscomplexobj(op.feature.matrix)
+    inj = check_injectivity(op)  # its SVD runs before the n x n products below exist
 
-    # factorization: the induced operator equals forward @ adjoint up to roundoff
+    forward = _forward(op.feature)
+    adjoint = _adjoint(op.feature)
+    # factorization: induced operator == forward @ adjoint; the gap is formed in place
     lhs = op.induced.gram * w[None, :]
-    rhs = op.forward_matrix @ op.adjoint_matrix
+    rhs = forward @ adjoint
     lhs_norm = float(np.linalg.norm(lhs))
-    factorization = (
-        float(np.linalg.norm(lhs - rhs) / lhs_norm) if lhs_norm > 0 else 0.0
-    )
-
-    inj = check_injectivity(op)
+    rhs -= lhs
+    factorization = float(np.linalg.norm(rhs) / lhs_norm) if lhs_norm > 0 else 0.0
+    del lhs, rhs
 
     F = _random_matrix(rng, op.grid_T.size, trials, complex_mode)
     G = _random_matrix(rng, op.grid_T.size, trials, complex_mode)
-    f_img = op.forward_matrix @ F
-    g_img = op.forward_matrix @ G
+    f_img = forward @ F
+    g_img = forward @ G
     x, _ = _solve_columns(op.induced, f_img, cutoff_rel)
 
     f_norms = _column_norms(m, F)
     g_norms = _column_norms(m, G)
 
-    back = op.adjoint_matrix @ x
+    back = adjoint @ x
     roundtrip = float(np.max(_column_norms(m, back - F) / f_norms))
-    plain = float(np.max(_column_norms(m, op.adjoint_matrix @ f_img - F) / f_norms))
+    plain = float(np.max(_column_norms(m, adjoint @ f_img - F) / f_norms))
 
     # [LF, LG] via the solved K^{-1} LF against LG in the E-grid product
     space_inner = np.sum(w[:, None] * x * np.conj(g_img), axis=0)
@@ -230,7 +231,7 @@ def verify_identities(
     # duality pairing (LF, g)_E == (F, L* g)_T on fresh random pairs
     g_rand = _random_matrix(rng, op.grid_E.size, trials, complex_mode)
     pair_lhs = np.sum(w[:, None] * f_img * np.conj(g_rand), axis=0)
-    pair_rhs = np.sum(m[:, None] * F * np.conj(op.adjoint_matrix @ g_rand), axis=0)
+    pair_rhs = np.sum(m[:, None] * F * np.conj(adjoint @ g_rand), axis=0)
     g_rand_norms = _column_norms(w, g_rand)
     adjointness = float(np.max(np.abs(pair_lhs - pair_rhs) / (f_norms * g_rand_norms)))
 
@@ -270,9 +271,7 @@ def invert(
     if not inj.injective:
         raise NotInjectiveError(inj.numerical_rank, op.grid_T.size)
     solved = solve_kernel_system(op.induced, f, cutoff_rel, range_tol=None)
-    recovered = DiscreteFunction(
-        values=op.adjoint_matrix @ solved.solution.values, grid=op.grid_T
-    )
+    recovered = apply_adjoint(op, solved.solution)
     f_norm = norm_l2(f)
     if f_norm == 0.0:
         residual = 0.0

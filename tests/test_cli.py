@@ -6,7 +6,7 @@ import pytest
 import rkhslab as rl
 from rkhslab.cli import main
 from rkhslab.config import build_objects, load_config, parse_config
-from rkhslab.io import save_function_csv
+from rkhslab.io import save_function_csv, save_matrix_csv
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -369,6 +369,34 @@ class TestCsvKernelSource:
         code = main(["verify", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["passed"] is True
+
+
+BAD_CSV_SOURCES = {
+    "kernel-shape": ("kernel", np.ones((30, 30)), "holds a (30, 30) matrix"),
+    "feature-shape": ("feature", np.ones((30, 40)), "holds a (30, 40) matrix"),
+    "non-hermitian-kernel": ("kernel", np.triu(np.ones((40, 40))), "not Hermitian"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize(
+    "kind, matrix, message", BAD_CSV_SOURCES.values(), ids=BAD_CSV_SOURCES.keys()
+)
+def test_bad_csv_source_is_config_error(tmp_path, capsys, command, kind, matrix, message):
+    path = tmp_path / "m.csv"
+    save_matrix_csv(matrix, path, mode="real")
+    grid = {"interval": [0.0, 1.0], "n": 40, "rule": "midpoint"}
+    grids = {"E": grid, "T": grid} if kind == "feature" else {"E": grid}
+    doc = {
+        "grids": grids,
+        "source": {"csv": {"kind": kind, "path": str(path), "mode": "real"}},
+        "trials": 5,
+        "seed": 1,
+    }
+    code = main([command, "--config", str(write_config(tmp_path, doc))])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: source.csv:") and message in err
 
 
 class TestNumericalErrors:

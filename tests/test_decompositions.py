@@ -245,3 +245,39 @@ class TestOneTrialPass:
         _, report = cli.run_verify(parse_config(indicator_doc()))
         transform = report["identities"]["transform"]
         assert report["unitary_inversion"]["rkhs_adjoint_error"] == transform["roundtrip_error"]
+
+
+class TestRkhsInnerOneSolve:
+    """``rkhs_inner`` solves ``[g, f]`` in one batched call and gates ``g`` before ``f``."""
+
+    @pytest.fixture
+    def space(self):
+        grid = rl.make_uniform_grid(0, 1, 60, "midpoint")
+        return rl.make_rkhs_space(rl.assemble_kernel(rl.builtin_kernel("brownian"), grid))
+
+    def test_one_batched_solve_per_call(self, space, batched_solves):
+        raw = np.random.default_rng(8).standard_normal((60, 2))
+        f, g = (rl.DiscreteFunction(col, space.grid) for col in (space.kernel.gram @ raw).T)
+        value = rl.rkhs_inner(space, f, g)
+        assert len(batched_solves) == 1
+        solved = rl.solve_kernel_system(space.kernel, f, space.cutoff_rel, space.range_tol)
+        expected = rl.inner_product_l2(solved.solution, g)
+        assert abs(value - expected) <= 1e-12 * abs(expected)
+
+    def test_g_range_violation_raised_first(self):
+        grid = rl.make_uniform_grid(0, 1, 60, "midpoint")
+        space = rl.make_rkhs_space(rl.assemble_kernel(rl.builtin_kernel("constant"), grid))
+        # outside the constants, with different residuals
+        a = rl.sample_function(grid, lambda p: p - 0.5)
+        b = rl.sample_function(grid, lambda p: p)
+        res_a = kernel_module.range_residual(space.kernel, a, space.cutoff_rel)
+        res_b = kernel_module.range_residual(space.kernel, b, space.cutoff_rel)
+        assert min(res_a, res_b) > space.range_tol and abs(res_a - res_b) > 1e-2
+        for f, g, expected in ((a, b, res_b), (b, a, res_a)):
+            with pytest.raises(rl.RangeViolationError) as err:
+                rl.rkhs_inner(space, f, g)
+            assert abs(err.value.residual - expected) <= 1e-15
+        ones = rl.sample_function(grid, lambda p: np.ones_like(p))
+        with pytest.raises(rl.RangeViolationError) as err:
+            rl.rkhs_inner(space, b, ones)
+        assert abs(err.value.residual - res_b) <= 1e-15

@@ -31,9 +31,39 @@ class TestBuildTransform:
         fm = rl.FeatureMap(grid_T=grid_T, grid_E=grid_E,
                            matrix=rng.standard_normal((30, 40)))
         op = rl.build_transform(fm)
-        assert op.forward_matrix.shape == (40, 30)
-        assert op.adjoint_matrix.shape == (30, 40)
+        F = rl.DiscreteFunction(rng.standard_normal(30), grid_T)
+        g = rl.DiscreteFunction(rng.standard_normal(40), grid_E)
+        forward = rl.apply_forward(op, F)
+        adjoint = rl.apply_adjoint(op, g)
+        assert forward.grid is grid_E and forward.values.shape == (40,)
+        assert adjoint.grid is grid_T and adjoint.values.shape == (30,)
         assert op.induced.gram.shape == (40, 40)
+
+    def test_operator_holds_feature_matrix_once(self, small_grids):
+        # the only matrices on an operator are H, the induced gram and the
+        # decompositions cached on first use; forward and adjoint are formed per call
+        grid_T, grid_E = small_grids
+        rng = np.random.default_rng(3)
+        fm = rl.FeatureMap(grid_T=grid_T, grid_E=grid_E,
+                           matrix=rng.standard_normal((30, 40)))
+        op = rl.build_transform(fm)
+        assert set(vars(op)) == {"feature", "induced"}
+        rl.verify_identities(op, trials=5)
+        assert set(vars(op)) == {"feature", "induced", "singular_values"}
+        allowed = {id(fm.matrix), id(op.induced.gram), id(op.singular_values)}
+        allowed.update(id(a) for a in op.induced.weighted_eigh)
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (tuple, list)):
+                for item in obj:
+                    yield from arrays(item)
+            elif hasattr(obj, "__dict__") and not isinstance(obj, rl.Grid):
+                for item in vars(obj).values():
+                    yield from arrays(item)
+
+        assert {id(a) for a in arrays(op)} == allowed
 
     def test_induced_matches_weighted_gram_product(self, small_grids):
         grid_T, grid_E = small_grids
