@@ -94,7 +94,7 @@ def check_unitary_inversion(
 
     Raises ``NotInjectiveError`` for rank-deficient transforms.
     """
-    inj = check_injectivity(op)
+    inj = check_injectivity(op, cutoff_rel)
     if not inj.injective:
         raise NotInjectiveError(inj.numerical_rank, op.grid_T.size)
     identities = verify_identities(op, cutoff_rel, trials, seed)

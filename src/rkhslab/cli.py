@@ -150,7 +150,7 @@ def run_verify(config: RunConfig):
         t_transform = time.perf_counter()
         op = built.operator
         idrep = verify_identities(op, config.cutoff_rel, config.trials, config.seed)
-        injectivity_block = dataclasses.asdict(check_injectivity(op))
+        injectivity_block = dataclasses.asdict(check_injectivity(op, config.cutoff_rel))
         criteria.append(
             _bound("factorization", idrep.factorization_residual, FACTORIZATION_TOL)
         )
@@ -257,7 +257,7 @@ def run_invert(config: RunConfig, data_path, out_path):
         "output": str(out_path),
         "range_tolerance": config.range_tol,
     }
-    inj = check_injectivity(op)
+    inj = check_injectivity(op, config.cutoff_rel)
     report["injectivity"] = dataclasses.asdict(inj)
     if not inj.injective:
         report["error"] = "transform is not injective"

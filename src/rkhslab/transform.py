@@ -6,12 +6,13 @@ A feature map ``h(t, p)`` over grids T and E induces the transform
 ``K(p, q) = integral conj(h(t, p)) h(t, q) dm(t)``.  In the discretization
 these are the matrices ``Hᴴ diag(m)``, ``H diag(w)`` and ``Hᴴ diag(m) H``,
 and the operator identities (factorization, isometry, round-trip inversion)
-become finite-dimensional residuals that this module measures.
+become finite-dimensional residuals that this module measures.  Since
+``K = L L*``, the injectivity rank and every solve read one spectrum, the
+induced kernel's cached ``eigh``, at one cutoff.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .kernel import (
     condition_number,
     kernel_from_gram,
     solve_kernel_system,
+    spectral_data,
 )
 
 
@@ -50,7 +52,10 @@ class FeatureMap:
 
 @dataclass
 class TransformOperator:
-    """A feature matrix and its induced kernel; forward and adjoint are formed per use."""
+    """A feature matrix and its induced kernel; forward and adjoint are formed per use.
+
+    The only decomposition is the ``eigh`` the induced kernel caches on first use.
+    """
 
     feature: FeatureMap
     induced: KernelMatrix
@@ -62,18 +67,6 @@ class TransformOperator:
     @property
     def grid_E(self) -> Grid:
         return self.feature.grid_E
-
-    @cached_property
-    def singular_values(self) -> np.ndarray:
-        """Singular values of ``diag(m)^{1/2} H diag(w)^{1/2}``, descending.
-
-        Computed on first use and kept, so every rank check on this operator
-        shares one SVD; ``build_transform`` never triggers it.
-        """
-        sm = np.sqrt(self.grid_T.weights)
-        sw = np.sqrt(self.grid_E.weights)
-        scaled = sm[:, None] * self.feature.matrix * sw[None, :]
-        return np.linalg.svd(scaled, compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -145,19 +138,18 @@ def apply_adjoint(op: TransformOperator, g: DiscreteFunction) -> DiscreteFunctio
     return DiscreteFunction(values=_adjoint(op.feature) @ g.values, grid=op.grid_T)
 
 
-def check_injectivity(op: TransformOperator, tol_rank: float = 1e-10) -> InjectivityReport:
+def check_injectivity(
+    op: TransformOperator, cutoff_rel: float = DEFAULT_CUTOFF_REL
+) -> InjectivityReport:
     """Numerical rank of the transform in orthonormal coordinates.
 
-    The transform is injective iff the rank of
-    ``diag(m)^{1/2} H diag(w)^{1/2}`` equals the size of grid T, i.e. the
-    feature family is total in the source space.  The singular values are
-    cached on the operator.
+    The transform is injective iff ``A = diag(m)^{1/2} H diag(w)^{1/2}`` has
+    rank equal to the size of grid T, i.e. the feature family is total in the
+    source space.  ``AᴴA`` is the weighted induced form, so the rank counts its
+    eigenvalues above ``cutoff_rel * lambda_max`` (``sigma > sqrt(cutoff_rel)
+    sigma_max``) in the cached ``eigh`` the solves use.
     """
-    singular_values = op.singular_values
-    if singular_values.size == 0 or singular_values[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(singular_values > tol_rank * singular_values[0]))
+    rank = spectral_data(op.induced, cutoff_rel).numerical_rank
     m_dim = op.grid_T.size
     return InjectivityReport(
         injective=rank == m_dim, numerical_rank=rank, deficiency=m_dim - rank
@@ -194,7 +186,8 @@ def verify_identities(
     m = op.grid_T.weights
     w = op.grid_E.weights
     complex_mode = np.iscomplexobj(op.feature.matrix)
-    inj = check_injectivity(op)  # its SVD runs before the n x n products below exist
+    # the eigh behind the rank runs before the n x n products below exist
+    inj = check_injectivity(op, cutoff_rel)
 
     forward = _forward(op.feature)
     adjoint = _adjoint(op.feature)
@@ -267,7 +260,7 @@ def invert(
     Raises ``NotInjectiveError`` when the transform fails the rank check.
     """
     ensure_aligned(f, op.grid_E)
-    inj = check_injectivity(op)
+    inj = check_injectivity(op, cutoff_rel)
     if not inj.injective:
         raise NotInjectiveError(inj.numerical_rank, op.grid_T.size)
     solved = solve_kernel_system(op.induced, f, cutoff_rel, range_tol=None)

@@ -291,6 +291,27 @@ class TestInvertCommand:
         assert report["range_violation"] is True
         assert report["range_residual"] >= 0.1
 
+    def test_not_injective_exit_three(self, tmp_path):
+        # s_min / s_max = 1e-8 lies below the solves' cutoff sqrt(1e-12): the
+        # direction they would drop must not count toward the rank
+        s = np.ones(20)
+        s[-1] = 1e-8
+        np.savetxt(tmp_path / "H.csv", np.diag(s), delimiter=",", fmt="%.17g")
+        doc = indicator_config(n=20)
+        doc["source"] = {"csv": {"kind": "feature", "path": str(tmp_path / "H.csv"),
+                                 "mode": "real"}}
+        cfg, data, built, _ = self.make_data(tmp_path, doc)
+        out = tmp_path / "rec.csv"
+        rep_path = tmp_path / "inv.json"
+        code = main(["invert", "--config", str(cfg), "--data", str(data),
+                     "--out", str(out), "--report", str(rep_path)])
+        assert code == 3
+        report = json.loads(rep_path.read_text())
+        assert report["error"] == "transform is not injective"
+        assert report["injectivity"] == {"injective": False, "numerical_rank": 19,
+                                         "deficiency": 1}
+        assert not out.exists()
+
     def test_kernel_source_rejected(self, tmp_path):
         doc = {
             "grids": {"E": {"interval": [0.0, 1.0], "n": 30, "rule": "midpoint"}},
@@ -400,27 +421,27 @@ def test_bad_csv_source_is_config_error(tmp_path, capsys, command, kind, matrix,
 
 
 class TestNumericalErrors:
-    def test_svd_non_convergence_exit_four(self, tmp_path, monkeypatch, capsys):
-        def failing_svd(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+    def test_eigh_non_convergence_exit_four(self, tmp_path, monkeypatch, capsys):
+        def failing_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         cfg = write_config(tmp_path, indicator_config(n=40, trials=5))
         code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("numerical error:") and "did not converge" in err
 
-    def test_invert_svd_non_convergence_exit_four(self, tmp_path, monkeypatch, capsys):
+    def test_invert_eigh_non_convergence_exit_four(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, indicator_config(n=40))
         grid = rl.make_uniform_grid(0, 1, 40, "midpoint")
         data = tmp_path / "d.csv"
         save_function_csv(rl.sample_function(grid, lambda p: p), data)
 
-        def failing_svd(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+        def failing_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         code = main(["invert", "--config", str(cfg), "--data", str(data),
                      "--out", str(tmp_path / "rec.csv")])
         assert code == 4

@@ -1,11 +1,12 @@
 """How often each command decomposes and solves, and the batched trial suites of verify.
 
-Feature sources decompose ``sqrt(m) H sqrt(w)`` once (values-only SVD,
-cached on the operator) and the weighted kernel form once (``eigh``, cached
-on the kernel).  ``verify`` makes one batched solve for the reproducing and
-point-evaluation trials, one for the kernel sections and, on a feature
-source, one for the transform trials; its report values must match a
-per-trial recomputation with the library's single-function routines.
+Every command decomposes the weighted kernel form at most once (``eigh``,
+cached on the kernel) and never runs an SVD: a feature source reads its
+injectivity rank from the same ``eigh`` as its solves.  ``verify`` makes one
+batched solve for the reproducing and point-evaluation trials, one for the
+kernel sections and, on a feature source, one for the transform trials; its
+report values must match a per-trial recomputation with the library's
+single-function routines.
 """
 import sys
 
@@ -83,36 +84,36 @@ def write_invert_data(tmp_path, config, seed=11):
 
 
 class TestDecompositionCounts:
-    def test_feature_verify_one_svd_one_eigh(self, decompositions):
+    def test_feature_verify_no_svd_one_eigh(self, decompositions):
         code, report = cli.run_verify(parse_config(indicator_doc()))
         assert code == cli.EXIT_OK
         assert report["injectivity"]["injective"] is True
         assert report["unitary_inversion"] is not None
-        assert decompositions == {"svd": 1, "eigh": 1}
+        assert decompositions == {"svd": 0, "eigh": 1}
 
-    def test_injective_invert_one_svd_one_eigh(self, tmp_path, decompositions):
+    def test_injective_invert_no_svd_one_eigh(self, tmp_path, decompositions):
         config = parse_config(indicator_doc())
         data = write_invert_data(tmp_path, config)
         decompositions.update(svd=0, eigh=0)
         code, report = cli.run_invert(config, data, tmp_path / "rec.csv")
         assert code == cli.EXIT_OK
         assert report["injectivity"]["injective"] is True
-        assert decompositions == {"svd": 1, "eigh": 1}
+        assert decompositions == {"svd": 0, "eigh": 1}
 
-    def test_non_injective_invert_one_svd_no_eigh(self, tmp_path, decompositions):
+    def test_non_injective_invert_no_svd_one_eigh(self, tmp_path, decompositions):
         config = parse_config(indicator_doc(n_T=60, n_E=30))
         data = write_invert_data(tmp_path, config)
         decompositions.update(svd=0, eigh=0)
         code, report = cli.run_invert(config, data, tmp_path / "rec.csv")
         assert code == cli.EXIT_RANGE
         assert report["injectivity"]["injective"] is False
-        assert decompositions == {"svd": 1, "eigh": 0}
+        assert decompositions == {"svd": 0, "eigh": 1}
 
     def test_analyze_runs_no_decomposition(self, decompositions):
         config = parse_config(indicator_doc())
         built = build_objects(config)
         assert decompositions == {"svd": 0, "eigh": 0}
-        assert "singular_values" not in vars(built.operator)
+        assert "weighted_eigh" not in vars(built.kernel)
         code, _ = cli.run_analyze(config)
         assert code == cli.EXIT_OK
         assert decompositions == {"svd": 0, "eigh": 0}
@@ -134,13 +135,16 @@ class TestDecompositionCounts:
         assert code == cli.EXIT_OK
         assert len(batched_solves) == 2
 
-    def test_singular_values_cached_on_operator(self, indicator_op, decompositions):
+    def test_injectivity_and_invert_share_one_eigh(self, indicator_op, decompositions):
         op = rl.build_transform(indicator_op.feature)
         first = rl.check_injectivity(op)
-        second = rl.check_injectivity(op, tol_rank=1e-3)
-        assert decompositions["svd"] == 1
+        second = rl.check_injectivity(op, cutoff_rel=1e-3)
+        rng = np.random.default_rng(2)
+        source = rl.DiscreteFunction(rng.standard_normal(op.grid_T.size), op.grid_T)
+        rl.invert(op, rl.apply_forward(op, source))
+        assert decompositions == {"svd": 0, "eigh": 1}
         assert first.injective
-        assert second.numerical_rank <= first.numerical_rank
+        assert second.numerical_rank < first.numerical_rank
 
 
 def trial_images(kernel, config):

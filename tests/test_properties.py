@@ -99,3 +99,22 @@ def test_point_eval_bound_random_range_functions(seed):
     f = rl.apply_operator(K, g)
     q = int(rng.integers(0, 24))
     assert rl.point_eval_bound(space, f, q).holds
+
+
+@given(
+    h=arrays(np.int64, (4, 10), elements=st.integers(min_value=-2, max_value=2)),
+    c=st.floats(min_value=1e-6, max_value=1e6),
+)
+@settings(max_examples=100, deadline=None)
+def test_injectivity_invariant_under_feature_scaling(h, c):
+    # small integer entries keep every nonzero eigenvalue of the weighted form
+    # above 1e-9 of the largest (Cauchy-Binet), far from the 1e-12 cutoff, so
+    # only the scale can move the verdict and it must not
+    grid_T = rl.make_uniform_grid(0, 1, 4, "midpoint")
+    grid_E = rl.make_uniform_grid(0, 1, 10, "midpoint")
+
+    def report(matrix):
+        op = rl.build_transform(rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=matrix))
+        return rl.check_injectivity(op)
+
+    assert report(c * h) == report(h)

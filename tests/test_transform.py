@@ -14,6 +14,39 @@ def small_grids():
     return grid_T, grid_E
 
 
+@pytest.fixture(scope="module")
+def ill_conditioned_diagonal_op():
+    # s_min / s_max = 1e-8 lies below sqrt(cutoff_rel) = 1e-6 at the default
+    # cutoff: the solves drop that direction, so it must not count toward the rank
+    grid = rl.make_uniform_grid(0, 1, 20, "midpoint")
+    s = np.ones(20)
+    s[-1] = 1e-8
+    return rl.build_transform(rl.FeatureMap(grid_T=grid, grid_E=grid, matrix=np.diag(s)))
+
+
+@pytest.fixture(scope="module")
+def gaussian_family_op():
+    grid_E = rl.make_uniform_grid(0, 1, 100, "midpoint")
+    spec = rl.FeatureFamily("gaussian", sigma=0.1)
+    grid_T = rl.make_uniform_grid(*rl.recommended_t_interval(spec, (0, 1)), 100, "midpoint")
+    return rl.build_transform(rl.make_feature_map(spec, grid_T, grid_E))
+
+
+@pytest.fixture(scope="module")
+def random_wide_op(small_grids):
+    grid_T, grid_E = small_grids
+    H = np.random.default_rng(10).standard_normal((30, 40))
+    return rl.build_transform(rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H))
+
+
+@pytest.fixture(scope="module")
+def duplicate_feature_op(small_grids):
+    grid_T, grid_E = small_grids
+    H = np.random.default_rng(5).standard_normal((30, 40))
+    H[7, :] = H[3, :]
+    return rl.build_transform(rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H))
+
+
 class TestBuildTransform:
     def test_rank_one_induces_all_ones(self, rank_one_op):
         np.testing.assert_allclose(rank_one_op.induced.gram, 1.0, atol=1e-15)
@@ -41,7 +74,7 @@ class TestBuildTransform:
 
     def test_operator_holds_feature_matrix_once(self, small_grids):
         # the only matrices on an operator are H, the induced gram and the
-        # decompositions cached on first use; forward and adjoint are formed per call
+        # eigh the induced kernel caches at first use; forward and adjoint are formed per call
         grid_T, grid_E = small_grids
         rng = np.random.default_rng(3)
         fm = rl.FeatureMap(grid_T=grid_T, grid_E=grid_E,
@@ -49,8 +82,8 @@ class TestBuildTransform:
         op = rl.build_transform(fm)
         assert set(vars(op)) == {"feature", "induced"}
         rl.verify_identities(op, trials=5)
-        assert set(vars(op)) == {"feature", "induced", "singular_values"}
-        allowed = {id(fm.matrix), id(op.induced.gram), id(op.singular_values)}
+        assert set(vars(op)) == {"feature", "induced"}
+        allowed = {id(fm.matrix), id(op.induced.gram)}
         allowed.update(id(a) for a in op.induced.weighted_eigh)
 
         def arrays(obj):
@@ -148,15 +181,15 @@ class TestCheckInjectivity:
         report = rl.check_injectivity(op)
         assert report.injective and report.deficiency == 0
 
-    def test_duplicate_feature_not_injective(self, small_grids):
-        grid_T, grid_E = small_grids
-        rng = np.random.default_rng(5)
-        H = rng.standard_normal((30, 40))
-        H[7, :] = H[3, :]
-        op = rl.build_transform(rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H))
-        report = rl.check_injectivity(op)
+    def test_duplicate_feature_not_injective(self, duplicate_feature_op):
+        report = rl.check_injectivity(duplicate_feature_op)
         assert not report.injective
         assert report.deficiency >= 1
+
+    def test_ill_conditioned_diagonal_not_injective(self, ill_conditioned_diagonal_op):
+        report = rl.check_injectivity(ill_conditioned_diagonal_op)
+        assert not report.injective
+        assert report.numerical_rank == 19 and report.deficiency == 1
 
     def test_random_wide_matrix_injective(self):
         grid_T = rl.make_uniform_grid(0, 1, 20, "midpoint")
@@ -167,6 +200,22 @@ class TestCheckInjectivity:
         report = rl.check_injectivity(op)
         assert report.injective
         assert report.numerical_rank == 20
+
+    @pytest.mark.parametrize("cutoff_rel", [1e-12, 1e-8])
+    @pytest.mark.parametrize("name", [
+        "indicator_op", "fourier_op", "gaussian_family_op", "orthonormal_op",
+        "random_wide_op", "duplicate_feature_op", "rank_one_op",
+        "ill_conditioned_diagonal_op",
+    ])
+    def test_rank_matches_svd_reference(self, request, name, cutoff_rel):
+        # eigenvalues of the weighted induced form are the squared singular
+        # values of sqrt(m) H sqrt(w), so lambda > c lambda_max <=> sigma > sqrt(c) sigma_max
+        op = request.getfixturevalue(name)
+        sm = np.sqrt(op.grid_T.weights)
+        sw = np.sqrt(op.grid_E.weights)
+        sigma = np.linalg.svd(sm[:, None] * op.feature.matrix * sw[None, :], compute_uv=False)
+        expected = int(np.count_nonzero(sigma > math.sqrt(cutoff_rel) * sigma[0]))
+        assert rl.check_injectivity(op, cutoff_rel).numerical_rank == expected
 
 
 class TestVerifyIdentities:
@@ -203,12 +252,13 @@ class TestVerifyIdentities:
         b = rl.verify_identities(indicator_op, trials=5, seed=42)
         assert a == b
 
-    def test_non_injective_flagged(self, small_grids):
+    def test_non_injective_flagged(self, small_grids, ill_conditioned_diagonal_op):
         grid_T, grid_E = small_grids
         H = np.ones((30, 40))
-        op = rl.build_transform(rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H))
-        report = rl.verify_identities(op, trials=5, seed=0)
-        assert not report.injective
+        ones_op = rl.build_transform(rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H))
+        for op in (ones_op, ill_conditioned_diagonal_op):
+            report = rl.verify_identities(op, trials=5, seed=0)
+            assert not report.injective
 
 
 class TestInvert:
@@ -246,13 +296,18 @@ class TestInvert:
             rl.invert(rank_one_op, f)
         assert err.value.residual >= 0.1
 
-    def test_not_injective_rejected(self, small_grids):
+    def test_not_injective_rejected(self, small_grids, ill_conditioned_diagonal_op):
         grid_T, grid_E = small_grids
         H = np.ones((30, 40))
         op = rl.build_transform(rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H))
         f = rl.sample_function(grid_E, lambda p: np.ones_like(p))
         with pytest.raises(rl.NotInjectiveError):
             rl.invert(op, f)
+        # data in the range: the inversion would drop the smallest direction
+        diag = ill_conditioned_diagonal_op
+        source = rl.DiscreteFunction(np.random.default_rng(7).standard_normal(20), diag.grid_T)
+        with pytest.raises(rl.NotInjectiveError):
+            rl.invert(diag, rl.apply_forward(diag, source))
 
     def test_forward_of_inverse_stays_in_range(self, fourier_op):
         rng = np.random.default_rng(9)
