@@ -7,7 +7,6 @@ to a whitelist of named forms so configs stay bit-exactly reproducible.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any
 

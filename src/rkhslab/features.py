@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import Grid
+from .kernel import builtin_kernel
 from .transform import FeatureMap
 
 FAMILY_NAMES = ("fourier", "indicator", "gaussian", "orthonormal_diagonal")
@@ -166,11 +167,13 @@ def closed_form_kernel(spec: FeatureFamily, grid_T: Grid) -> Callable | None:
     """
     if spec.family == "indicator":
         a = grid_T.interval[0]
-        return lambda p, q: np.minimum(p, q) - a
+        brownian = builtin_kernel("brownian")
+        return lambda p, q: brownian(p, q) - a
     if spec.family == "fourier":
         band = spec.band if spec.band is not None else grid_T.interval[1]
-        return lambda p, q: (band / math.pi) * np.sinc(band * (p - q) / math.pi)
+        return builtin_kernel("sinc", band=band)
     if spec.family == "gaussian":
+        # not the built-in gaussian: its lengthscale sqrt(2) sigma would not round-trip exactly
         sigma = spec.sigma
         return lambda p, q: sigma * math.sqrt(math.pi) * np.exp(
             -((p - q) ** 2) / (4.0 * sigma**2)

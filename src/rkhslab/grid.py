@@ -3,6 +3,8 @@
 A ``Grid`` replaces an interval with points and positive quadrature weights,
 so that every integral in the continuous formulas becomes a weighted sum.
 A ``DiscreteFunction`` is a vector of complex samples tied to one grid.
+Callables reach a grid through ``evaluate``, sample arrays take their dtype
+from ``as_samples`` and seeded trial functions come from ``random_samples``.
 """
 from __future__ import annotations
 
@@ -63,6 +65,38 @@ class Grid:
         return self.points.size
 
 
+def as_samples(a) -> np.ndarray:
+    """``a`` as an array of samples: complex if it is complex, float otherwise."""
+    a = np.asarray(a)
+    return a if np.iscomplexobj(a) else a.astype(float, copy=False)
+
+
+def evaluate(fn: Callable, *args) -> np.ndarray:
+    """``fn`` at every entry of the broadcast ``args``, as an array of that shape.
+
+    A vectorized call is used when it returns the broadcast shape; otherwise
+    ``fn`` is called once per entry on scalars, in row-major order.
+    """
+    arrays = np.broadcast_arrays(*args)
+    shape = arrays[0].shape
+    try:
+        values = np.asarray(fn(*args))
+        if values.shape == shape:
+            return values
+    except (TypeError, ValueError):
+        pass
+    values = np.array([fn(*xs) for xs in zip(*(a.flat for a in arrays))])
+    return values.reshape(shape + values.shape[1:])
+
+
+def random_samples(rng, rows: int, cols: int, complex_mode: bool) -> np.ndarray:
+    """``rows x cols`` standard normal draws; in complex mode an imaginary part is drawn next."""
+    mat = rng.standard_normal((rows, cols))
+    if complex_mode:
+        mat = mat + 1j * rng.standard_normal((rows, cols))
+    return mat
+
+
 @dataclass(frozen=True)
 class DiscreteFunction:
     """Complex (or real) samples aligned to a grid."""
@@ -71,9 +105,7 @@ class DiscreteFunction:
     grid: Grid
 
     def __post_init__(self):
-        values = np.asarray(self.values)
-        if not np.iscomplexobj(values):
-            values = values.astype(float, copy=False)
+        values = as_samples(self.values)
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size != self.grid.size:
             raise ValueError(
@@ -119,7 +151,7 @@ def make_uniform_grid(
     else:
         raise ValueError(f"unknown quadrature rule {rule!r}")
     if density is not None:
-        dens = _sample_density(density, points)
+        dens = np.asarray(evaluate(density, points), dtype=float)
         if not np.all(np.isfinite(dens)) or np.any(dens < 0) or not np.any(dens > 0):
             raise ValueError("non-positive density sample on the grid")
         # a density vanishing at isolated points (e.g. 2t at t=0) gets a
@@ -129,25 +161,9 @@ def make_uniform_grid(
     return Grid(points=points, weights=weights, rule=rule, interval=(float(a), float(b)))
 
 
-def _sample_density(density, points):
-    try:
-        dens = np.asarray(density(points), dtype=float)
-        if dens.shape == points.shape:
-            return dens
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(density(x)) for x in points])
-
-
 def sample_function(grid: Grid, fn: Callable) -> DiscreteFunction:
     """Evaluate a callable on the grid points."""
-    try:
-        values = np.asarray(fn(grid.points))
-        if values.shape != grid.points.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        values = np.array([fn(x) for x in grid.points])
-    return DiscreteFunction(values=values, grid=grid)
+    return DiscreteFunction(values=evaluate(fn, grid.points), grid=grid)
 
 
 def ensure_aligned(f: DiscreteFunction, grid: Grid) -> None:
@@ -166,21 +182,20 @@ def ensure_aligned(f: DiscreteFunction, grid: Grid) -> None:
 def inner_product_l2(f: DiscreteFunction, g: DiscreteFunction, grid: Grid | None = None) -> complex:
     """Weighted L2 inner product, conjugate-linear in the second argument.
 
-    Returns ``sum_i w_i * f_i * conj(g_i)``.
+    Returns ``sum_i w_i * f_i * conj(g_i)``, its real and imaginary parts
+    summed separately in real arithmetic.  Swapping ``f`` and ``g`` then
+    negates the imaginary terms exactly, so conjugate symmetry holds bit for
+    bit and ``inner(f, f)`` is real; a complex multiply may fuse a
+    multiply-add and round ``f conj(g)`` and ``g conj(f)`` differently.
     """
     if grid is None:
         grid = f.grid
     ensure_aligned(f, grid)
     ensure_aligned(g, grid)
-    if g is f:
-        # FMA in the complex multiply leaves dust in imag(z * conj(z));
-        # the self product must come out exactly real and nonnegative
-        vals = f.values
-        sq = vals.real**2 + vals.imag**2 if np.iscomplexobj(vals) else vals * vals
-        return complex(np.sum(grid.weights * sq))
-    # grouping the sample product first keeps conjugate symmetry exact at
-    # the bit level (elementwise products commute exactly)
-    return complex(np.sum(grid.weights * (f.values * np.conj(g.values))))
+    w = grid.weights
+    fr, fi = f.values.real, f.values.imag
+    gr, gi = g.values.real, g.values.imag
+    return complex(np.sum(w * (fr * gr + fi * gi)), np.sum(w * (fi * gr - fr * gi)))
 
 
 def norm_l2(f: DiscreteFunction, grid: Grid | None = None) -> float:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonHermitianKernelError, RangeViolationError
-from .grid import DiscreteFunction, Grid, ensure_aligned
+from .grid import DiscreteFunction, Grid, as_samples, ensure_aligned, evaluate
 
 #: relative Hermitian defect above which a kernel is rejected outright
 HERMITIAN_REJECT_REL = 1e-6
@@ -87,9 +87,7 @@ class SolveResult:
 
 def kernel_from_gram(gram: np.ndarray, grid: Grid) -> KernelMatrix:
     """Wrap a raw matrix of kernel values: validate, symmetrize, record defect."""
-    gram = np.asarray(gram)
-    if not np.iscomplexobj(gram):
-        gram = gram.astype(float, copy=False)
+    gram = as_samples(gram)
     if gram.shape != (grid.size, grid.size):
         raise ValueError(f"gram must be {grid.size}x{grid.size}, got {gram.shape}")
     if not np.all(np.isfinite(gram)):
@@ -112,18 +110,7 @@ def assemble_kernel(kfun: Callable, grid: Grid) -> KernelMatrix:
     entry rejects the kernel as non-self-adjoint.
     """
     p = grid.points
-    raw = _evaluate_pairwise(kfun, p)
-    return kernel_from_gram(raw, grid)
-
-
-def _evaluate_pairwise(kfun, p):
-    try:
-        raw = np.asarray(kfun(p[:, None], p[None, :]))
-        if raw.shape == (p.size, p.size):
-            return raw
-    except (TypeError, ValueError):
-        pass
-    return np.array([[kfun(pi, qj) for qj in p] for pi in p])
+    return kernel_from_gram(evaluate(kfun, p[:, None], p[None, :]), grid)
 
 
 def discrete_delta_kernel(grid: Grid) -> KernelMatrix:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeViolationError
-from .grid import DiscreteFunction, ensure_aligned, inner_product_l2
+from .grid import DiscreteFunction, ensure_aligned, inner_product_l2, random_samples
 from .kernel import (
     DEFAULT_CUTOFF_REL,
     DEFAULT_RANGE_TOL,
@@ -129,22 +129,11 @@ def point_eval_bound(space: RkhsSpace, f: DiscreteFunction, q_index: int) -> Poi
     ``sqrt(K(q, q))`` is the space norm of the kernel section at q, so this
     is the Cauchy-Schwarz bound for point evaluation.
     """
-    n = space.grid.size
-    if not 0 <= q_index < n:
-        raise IndexError(f"index {q_index} out of range for grid of size {n}")
+    kqq = float(kernel_section(space, q_index).values[q_index].real)
     ensure_aligned(f, space.grid)
     lhs = float(np.abs(f.values[q_index]))
-    kqq = float(space.kernel.gram[q_index, q_index].real)
     rhs = rkhs_norm(space, f) * np.sqrt(max(kqq, 0.0))
     return PointEvalBound(lhs=lhs, rhs=float(rhs), holds=lhs <= rhs * (1.0 + 1e-10))
-
-
-def _random_range_functions(kernel: KernelMatrix, rng, trials: int) -> np.ndarray:
-    """Images ``gram @ W @ raw`` of random columns: ``size x trials``, in range."""
-    raw = rng.standard_normal((kernel.size, trials))
-    if np.iscomplexobj(kernel.gram):
-        raw = raw + 1j * rng.standard_normal((kernel.size, trials))
-    return kernel.gram @ (kernel.grid.weights[:, None] * raw)
 
 
 def verify_reproducing(
@@ -157,12 +146,15 @@ def verify_reproducing(
     ``RangeViolationError`` with the residual of the first trial that has
     more than ``range_tol`` of its mass outside the numerical range.
     """
-    F = _random_range_functions(kernel, np.random.default_rng(seed), trials)
+    weights = kernel.grid.weights[:, None]
+    complex_mode = np.iscomplexobj(kernel.gram)
+    rng = np.random.default_rng(seed)
+    # in-range trial functions: images gram @ W @ raw of random columns, raw not kept
+    F = kernel.gram @ (weights * random_samples(rng, kernel.size, trials, complex_mode))
     X, residuals = _solve_columns(kernel, F, cutoff_rel)
     offending = np.flatnonzero(residuals > range_tol)
     if offending.size:
         raise RangeViolationError(float(residuals[offending[0]]), range_tol)
-    weights = kernel.grid.weights[:, None]
     # reproducing: [f, K(., q)] = (gram W K^{-1} f)(q) at every q
     recon = kernel.gram @ (weights * X)
     max_residual = float(np.max(np.abs(recon - F) / (1.0 + np.abs(F))))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInjectiveError, RangeViolationError
-from .grid import DiscreteFunction, Grid, ensure_aligned, norm_l2
+from .grid import DiscreteFunction, Grid, as_samples, ensure_aligned, norm_l2, random_samples
 from .kernel import (
     DEFAULT_CUTOFF_REL,
     DEFAULT_RANGE_TOL,
@@ -39,9 +39,7 @@ class FeatureMap:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix)
-        if not np.iscomplexobj(matrix):
-            matrix = matrix.astype(float, copy=False)
+        matrix = as_samples(self.matrix)
         object.__setattr__(self, "matrix", matrix)
         expected = (self.grid_T.size, self.grid_E.size)
         if matrix.shape != expected:
@@ -161,13 +159,6 @@ def _column_norms(weights: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(weights[:, None] * np.abs(mat) ** 2, axis=0))
 
 
-def _random_matrix(rng, rows, cols, complex_mode):
-    mat = rng.standard_normal((rows, cols))
-    if complex_mode:
-        mat = mat + 1j * rng.standard_normal((rows, cols))
-    return mat
-
-
 def verify_identities(
     op: TransformOperator,
     cutoff_rel: float = DEFAULT_CUTOFF_REL,
@@ -199,8 +190,8 @@ def verify_identities(
     factorization = float(np.linalg.norm(rhs) / lhs_norm) if lhs_norm > 0 else 0.0
     del lhs, rhs
 
-    F = _random_matrix(rng, op.grid_T.size, trials, complex_mode)
-    G = _random_matrix(rng, op.grid_T.size, trials, complex_mode)
+    F = random_samples(rng, op.grid_T.size, trials, complex_mode)
+    G = random_samples(rng, op.grid_T.size, trials, complex_mode)
     f_img = forward @ F
     g_img = forward @ G
     x, _ = _solve_columns(op.induced, f_img, cutoff_rel)
@@ -222,7 +213,7 @@ def verify_identities(
     norm_defect = float(np.max(np.abs(image_norms - f_norms) / f_norms))
 
     # duality pairing (LF, g)_E == (F, L* g)_T on fresh random pairs
-    g_rand = _random_matrix(rng, op.grid_E.size, trials, complex_mode)
+    g_rand = random_samples(rng, op.grid_E.size, trials, complex_mode)
     pair_lhs = np.sum(w[:, None] * f_img * np.conj(g_rand), axis=0)
     pair_rhs = np.sum(m[:, None] * F * np.conj(adjoint @ g_rand), axis=0)
     g_rand_norms = _column_norms(w, g_rand)

@@ -47,6 +47,8 @@ class TestMakeUniformGrid:
     def test_scalar_density_callable(self):
         g = rl.make_uniform_grid(0, 1, 11, "midpoint", density=lambda t: float(2 * t + 0.1))
         assert np.all(g.weights > 0)
+        vectorized = rl.make_uniform_grid(0, 1, 11, "midpoint", density=lambda t: 2 * t + 0.1)
+        np.testing.assert_array_equal(g.weights, vectorized.weights)
 
 
 class TestDiscreteFunction:
@@ -79,6 +81,10 @@ class TestInnerProduct:
         g = rl.make_uniform_grid(0, 1, 101, "trapezoid")
         f = rl.sample_function(g, lambda x: x)
         assert abs(rl.inner_product_l2(f, f) - 1 / 3) < 1e-4
+        # a callable that returns a scalar for the whole array, the wrong
+        # shape, is sampled by one scalar call per point
+        per_point = rl.sample_function(g, lambda x: float(np.sum(x)))
+        np.testing.assert_array_equal(per_point.values, f.values)
 
     def test_conjugate_symmetry_real_bitlevel(self):
         g = rl.make_uniform_grid(0, 1, 50, "trapezoid")
@@ -95,6 +101,16 @@ class TestInnerProduct:
         lhs = rl.inner_product_l2(f, h)
         rhs = np.conj(rl.inner_product_l2(h, f))
         assert abs(lhs - rhs) < 1e-15 * max(abs(lhs), 1.0)
+
+    def test_conjugate_symmetry_complex_bitlevel(self):
+        # a fused multiply-add in the complex product rounds f conj(g) and
+        # g conj(f) differently; dense seeded pairs would expose it
+        g = rl.make_uniform_grid(0, 1, 16, "midpoint")
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            f = rl.DiscreteFunction(rng.standard_normal(16) + 1j * rng.standard_normal(16), g)
+            h = rl.DiscreteFunction(rng.standard_normal(16) + 1j * rng.standard_normal(16), g)
+            assert rl.inner_product_l2(f, h) == np.conj(rl.inner_product_l2(h, f))
 
     def test_self_inner_product_nonnegative(self):
         g = rl.make_uniform_grid(0, 1, 40, "midpoint")

@@ -33,6 +33,11 @@ class TestAssembleKernel:
         g = rl.make_uniform_grid(0, 1, 4, "midpoint")
         K = rl.assemble_kernel(lambda p, q: min(p, q), g)
         assert K.gram.shape == (4, 4)
+        np.testing.assert_array_equal(K.gram, rl.assemble_kernel(np.minimum, g).gram)
+        # a Hermitian, non-symmetric kernel pins the row-major order of the scalar calls
+        herm = rl.assemble_kernel(lambda p, q: complex(min(p, q), p - q), g)
+        vectorized = rl.assemble_kernel(lambda p, q: np.minimum(p, q) + 1j * (p - q), g)
+        np.testing.assert_array_equal(herm.gram, vectorized.gram)
 
     def test_non_finite_rejected(self, grid01):
         bad = lambda p, q: np.full(np.broadcast_shapes(np.shape(p), np.shape(q)), np.nan)

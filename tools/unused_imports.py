@@ -1,0 +1,48 @@
+"""List the names each ``rkhslab`` module imports but never uses.
+
+    python3 tools/unused_imports.py
+
+Every module under ``src/rkhslab`` except ``__init__.py`` (which imports to
+re-export) is parsed with the standard-library ``ast``.  A name bound by an
+``import`` or ``from ... import`` statement counts as used when it appears
+anywhere in the module as a name, including as the base of an attribute
+access and inside annotations.  One line per unused import is printed:
+
+    <module file>: <name>
+
+The exit status is 1 when any line is printed, 0 otherwise.
+"""
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rkhslab"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(imported) - used, key=imported.get)
+
+
+def main() -> int:
+    found = False
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for name in unused_imports(path.read_text()):
+            print(f"{path.name}: {name}")
+            found = True
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
