@@ -75,6 +75,16 @@ def _weighted_block(weighted, tol_diag):
     }
 
 
+def _header(command, config):
+    """The leading fields every report shares."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "config": config.echo(),
+        "seed": config.seed,
+    }
+
+
 def _bound(name, value, tol, note=None):
     """A criterion that passes when ``value`` is at most ``tol``."""
     return criterion(name, value, tol, value <= tol, note=note)
@@ -207,10 +217,7 @@ def run_verify(config: RunConfig):
     passed = all(c["passed"] is not False for c in criteria)
     timings["total_s"] = time.perf_counter() - started
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "config": config.echo(),
-        "seed": config.seed,
+        **_header("verify", config),
         "source_kind": config.source_kind,
         "psd": {
             "passed": psd.passed,
@@ -240,8 +247,6 @@ def run_invert(config: RunConfig, data_path, out_path):
     """
     timings: dict[str, float] = {}
     started = time.perf_counter()
-    if config.source_kind == "kernel":
-        raise ConfigError("invert needs a feature source (feature_family or feature CSV)")
     built = build_objects(config)
     if built.operator is None:
         raise ConfigError("invert needs a feature source (feature_family or feature CSV)")
@@ -249,10 +254,7 @@ def run_invert(config: RunConfig, data_path, out_path):
     data = load_function_csv(data_path, built.grid_E)
 
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "invert",
-        "config": config.echo(),
-        "seed": config.seed,
+        **_header("invert", config),
         "data": str(data_path),
         "output": str(out_path),
         "range_tolerance": config.range_tol,
@@ -280,10 +282,7 @@ def run_analyze(config: RunConfig):
     built = build_objects(config)
     weighted = check_weighted_l2(built.kernel, config.tol_diag)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "analyze",
-        "config": config.echo(),
-        "seed": config.seed,
+        **_header("analyze", config),
         "weighted_l2": _weighted_block(weighted, config.tol_diag),
         "timings": {"total_s": time.perf_counter() - started},
     }

@@ -325,6 +325,8 @@ def build_objects(config: RunConfig) -> BuiltObjects:
         grid_T = t_spec.build()
         try:
             feature = make_feature_map(family, grid_T, grid_E)
+        except np.linalg.LinAlgError:
+            raise  # a numerical failure, not a config error
         except ValueError as exc:
             raise ConfigError(f"feature_family: {exc}") from exc
         op = build_transform(feature)

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, evaluate
 from .kernel import builtin_kernel
 from .transform import FeatureMap
 
@@ -149,7 +149,7 @@ def _diagonal_weight(spec: FeatureFamily, grid_E: Grid) -> np.ndarray:
     if spec.weight is None:
         return np.ones(grid_E.size)
     if callable(spec.weight):
-        v = np.asarray(spec.weight(grid_E.points), dtype=float)
+        v = np.asarray(evaluate(spec.weight, grid_E.points), dtype=float)
     else:
         v = np.asarray(spec.weight, dtype=float)
     if v.shape != grid_E.points.shape:
@@ -187,5 +187,5 @@ def closed_form_discrepancy(spec: FeatureFamily, op) -> float | None:
     if kfun is None:
         return None
     p = op.grid_E.points
-    exact = kfun(p[:, None], p[None, :])
+    exact = evaluate(kfun, p[:, None], p[None, :])
     return float(np.max(np.abs(op.induced.gram - exact)))

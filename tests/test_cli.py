@@ -312,19 +312,26 @@ class TestInvertCommand:
                                          "deficiency": 1}
         assert not out.exists()
 
-    def test_kernel_source_rejected(self, tmp_path):
-        doc = {
-            "grids": {"E": {"interval": [0.0, 1.0], "n": 30, "rule": "midpoint"}},
-            "source": {"kernel": {"name": "brownian"}},
-            "seed": 1,
-        }
-        cfg = write_config(tmp_path, doc)
-        data = tmp_path / "d.csv"
+    def test_kernel_source_rejected(self, tmp_path, capsys):
         grid = rl.make_uniform_grid(0, 1, 30, "midpoint")
+        data = tmp_path / "d.csv"
         save_function_csv(rl.sample_function(grid, lambda p: p), data)
-        code = main(["invert", "--config", str(cfg), "--data", str(data),
-                     "--out", str(tmp_path / "rec.csv")])
-        assert code == 2
+        kernel_csv = tmp_path / "K.csv"
+        gram = rl.assemble_kernel(rl.builtin_kernel("brownian"), grid).gram
+        save_matrix_csv(gram, kernel_csv, mode="real")
+        for source in ({"kernel": {"name": "brownian"}},
+                       {"csv": {"kind": "kernel", "path": str(kernel_csv), "mode": "real"}}):
+            doc = {
+                "grids": {"E": {"interval": [0.0, 1.0], "n": 30, "rule": "midpoint"}},
+                "source": source,
+                "seed": 1,
+            }
+            cfg = write_config(tmp_path, doc)
+            out = tmp_path / "rec.csv"
+            code = main(["invert", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+            assert code == 2
+            assert "invert needs a feature source" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_misaligned_data_exit_two(self, tmp_path):
         cfg, _, built, _ = self.make_data(tmp_path, indicator_config())
@@ -446,6 +453,19 @@ class TestNumericalErrors:
                      "--out", str(tmp_path / "rec.csv")])
         assert code == 4
         assert capsys.readouterr().err.startswith("numerical error:")
+
+    def test_feature_map_qr_failure_exit_four(self, tmp_path, monkeypatch, capsys):
+        def failing_qr(*args, **kwargs):
+            raise np.linalg.LinAlgError("QR did not converge")
+
+        monkeypatch.setattr(np.linalg, "qr", failing_qr)
+        doc = indicator_config(n=8, trials=5)
+        doc["source"] = {"feature_family": {"family": "orthonormal_diagonal"}}
+        cfg = write_config(tmp_path, doc)
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and "QR did not converge" in err
 
     def test_trial_range_violation_exit_four(self, tmp_path, capsys):
         doc = {

@@ -86,10 +86,15 @@ class TestCardinalSinc:
 class TestOrthonormalDiagonal:
     def test_custom_weight_diagonalizes(self):
         grid = rl.make_uniform_grid(0, 1, 80, "trapezoid")
-        spec = rl.FeatureFamily("orthonormal_diagonal", weight=lambda p: 1.0 + p**2)
-        op = rl.build_transform(rl.make_feature_map(spec, grid, grid))
-        B = op.induced.gram * grid.weights[None, :]
-        np.testing.assert_allclose(np.diag(B), 1.0 + grid.points**2, atol=1e-12)
+        matrices = []
+        # the second weight takes scalars only and is evaluated point by point
+        for weight in (lambda p: 1.0 + p**2, lambda p: float(1.0 + p**2)):
+            spec = rl.FeatureFamily("orthonormal_diagonal", weight=weight)
+            feature = rl.make_feature_map(spec, grid, grid)
+            B = rl.build_transform(feature).induced.gram * grid.weights[None, :]
+            np.testing.assert_allclose(np.diag(B), 1.0 + grid.points**2, atol=1e-12)
+            matrices.append(feature.matrix)
+        np.testing.assert_array_equal(matrices[0], matrices[1])
 
     def test_needs_enough_modes(self):
         grid_T = rl.make_uniform_grid(0, 1, 10, "trapezoid")

@@ -138,10 +138,16 @@ class TestSolveKernelSystem:
 
     def test_report_only_mode(self):
         g = rl.make_uniform_grid(0, 1, 60, "midpoint")
-        K = rl.assemble_kernel(rl.builtin_kernel("constant"), g)
         f = rl.sample_function(g, lambda x: x - 0.5)
-        result = rl.solve_kernel_system(K, f, range_tol=None)
-        assert result.range_residual > 0.9
+        for value in (1.0, 0.0):
+            K = rl.assemble_kernel(rl.builtin_kernel("constant", value=value), g)
+            result = rl.solve_kernel_system(K, f, range_tol=None)
+            assert result.range_residual > 0.9
+            with pytest.raises(rl.RangeViolationError):
+                rl.solve_kernel_system(K, f)
+        # the zero kernel has rank 0: nothing is kept, all of f is dropped
+        np.testing.assert_array_equal(result.solution.values, 0.0)
+        assert result.range_residual == 1.0
 
     def test_roundtrip_on_range(self, grid01):
         K = rl.assemble_kernel(rl.builtin_kernel("brownian"), grid01)

@@ -160,6 +160,13 @@ class TestProjectOntoSections:
         proj = rl.project_onto_sections(space, [3, 17], f)
         assert proj.rank_deficient
 
+    def test_rank_threshold_is_the_solve_cutoff(self, brownian201):
+        # neighbouring sections: the sub-gram's singular-value ratios are 3.3e-3 and 1.1e-3
+        f = rl.sample_function(brownian201.grid, lambda p: p)
+        assert not rl.project_onto_sections(brownian201, [100, 101, 102], f).rank_deficient
+        coarse = rl.make_rkhs_space(brownian201.kernel, cutoff_rel=1e-2)
+        assert rl.project_onto_sections(coarse, [100, 101, 102], f).rank_deficient
+
     def test_bad_indices(self, brownian201):
         f = rl.sample_function(brownian201.grid, lambda p: p)
         with pytest.raises(ValueError):
