@@ -26,7 +26,7 @@ from .features import closed_form_discrepancy
 from .io import load_function_csv, save_function_csv
 from .kernel import condition_number, spectral_data, validate_psd
 from .report import SCHEMA_VERSION, criterion, dump_report, write_report
-from .rkhs import verify_reproducing
+from .rkhs import POINT_EVAL_SLACK, verify_reproducing
 from .transform import check_injectivity, invert as transform_invert, verify_identities
 
 # fixed tolerances of the verification suite; the config only controls the
@@ -34,7 +34,6 @@ from .transform import check_injectivity, invert as transform_invert, verify_ide
 REPRODUCING_TOL = 1e-8
 REPRODUCING_TOL_RELAXED = 1e-6
 CONDITION_GATE = 1e8
-POINT_EVAL_SLACK = 1e-10
 FACTORIZATION_TOL = 1e-14
 ISOMETRY_TOL = 1e-8
 ROUNDTRIP_TOL = 1e-8

@@ -3,10 +3,11 @@
 Every command decomposes the weighted kernel form at most once (``eigh``,
 cached on the kernel) and never runs an SVD: a feature source reads its
 injectivity rank from the same ``eigh`` as its solves.  ``verify`` makes one
-batched solve for the reproducing and point-evaluation trials, one for the
-kernel sections and, on a feature source, one for the transform trials; its
-report values must match a per-trial recomputation with the library's
-single-function routines.
+batched solve for the reproducing and point-evaluation trials and, on a
+feature source, one for the transform trials; the norms of the kernel
+sections come in closed form from the cached eigenpairs, without a solve.
+Its report values must match a per-trial and per-section recomputation with
+the library's single-function routines.
 """
 import sys
 
@@ -16,7 +17,7 @@ import pytest
 import rkhslab as rl
 from rkhslab import cli, kernel as kernel_module
 from rkhslab.config import build_objects, parse_config
-from rkhslab.io import save_function_csv
+from rkhslab.io import save_function_csv, save_kernel_csv
 
 
 def indicator_doc(n_T=60, n_E=60, trials=10, seed=4):
@@ -41,6 +42,26 @@ def kernel_doc(name, n, trials=10, seed=4, **tolerances):
     if tolerances:
         doc["tolerances"] = tolerances
     return doc
+
+
+def hermitian_doc(tmp_path, n, trials=10, seed=4):
+    """A complex Hermitian kernel from CSV: the min kernel modulated by ``exp(3i (p - q))``.
+
+    It is ``D min(p, q) D^H`` with ``D = diag(exp(3i p))``, so its eigenvectors
+    are genuinely complex and a section norm that squares them without the
+    conjugate is wrong.
+    """
+    grid = rl.make_uniform_grid(0.0, 1.0, n, "midpoint")
+    p = grid.points
+    gram = np.minimum(p[:, None], p[None, :]) * np.exp(3j * (p[:, None] - p[None, :]))
+    path = tmp_path / "hermitian.csv"
+    save_kernel_csv(rl.kernel_from_gram(gram, grid), path)
+    return {
+        "grids": {"E": {"interval": [0.0, 1.0], "n": n, "rule": "midpoint"}},
+        "source": {"csv": {"kind": "kernel", "path": str(path), "mode": "complex"}},
+        "trials": trials,
+        "seed": seed,
+    }
 
 
 @pytest.fixture
@@ -124,16 +145,16 @@ class TestDecompositionCounts:
         assert report["injectivity"] is None
         assert decompositions == {"svd": 0, "eigh": 1}
 
-    def test_feature_verify_three_batched_solves(self, batched_solves):
+    def test_feature_verify_two_batched_solves(self, batched_solves):
         code, report = cli.run_verify(parse_config(indicator_doc()))
         assert code == cli.EXIT_OK
         assert report["unitary_inversion"] is not None
-        assert len(batched_solves) == 3
+        assert len(batched_solves) == 2
 
-    def test_kernel_verify_two_batched_solves(self, batched_solves):
+    def test_kernel_verify_one_batched_solve(self, batched_solves):
         code, _ = cli.run_verify(parse_config(kernel_doc("brownian", 60)))
         assert code == cli.EXIT_OK
-        assert len(batched_solves) == 2
+        assert len(batched_solves) == 1
 
     def test_injectivity_and_invert_share_one_eigh(self, indicator_op, decompositions):
         op = rl.build_transform(indicator_op.feature)
@@ -162,7 +183,8 @@ def single_residual(kernel, config, column):
 
 
 def per_trial_suite(config):
-    """Worst reproducing residual and point-evaluation excess, one trial at a time."""
+    """Worst reproducing residual and point-evaluation excess, one trial at a time,
+    and worst section-equality defect, one kernel section at a time."""
     kernel = build_objects(config).kernel
     space = rl.make_rkhs_space(kernel, config.cutoff_rel, config.range_tol)
     images = trial_images(kernel, config)
@@ -173,23 +195,34 @@ def per_trial_suite(config):
         worst_repro = max(worst_repro, float(rl.reproducing_residuals(space, f).max()))
         rhs = rl.rkhs_norm(space, f) * sqrt_diag
         worst_excess = max(worst_excess, float(np.max((np.abs(f.values) - rhs) / (1.0 + rhs))))
-    return worst_repro, worst_excess
+    kqq = np.real(np.diag(kernel.gram))
+    worst_defect = 0.0
+    for q in range(kernel.size):
+        norm_q = rl.rkhs_norm(space, rl.kernel_section(space, q))
+        defect = abs(kqq[q] - norm_q * sqrt_diag[q]) / (1.0 + abs(kqq[q]))
+        worst_defect = max(worst_defect, float(defect))
+    return worst_repro, worst_excess, worst_defect
+
+
+TRIAL_SUITE_DOCS = {
+    "brownian": lambda tmp_path: kernel_doc("brownian", 80, trials=25),
+    "sinc": lambda tmp_path: kernel_doc("sinc", 120, trials=25),
+    "indicator": lambda tmp_path: indicator_doc(trials=25),
+    "hermitian": lambda tmp_path: hermitian_doc(tmp_path, 80, trials=25),
+}
 
 
 class TestBatchedTrialSuite:
-    @pytest.mark.parametrize(
-        "doc",
-        [kernel_doc("brownian", 80, trials=25), kernel_doc("sinc", 120, trials=25),
-         indicator_doc(trials=25)],
-        ids=["brownian", "sinc", "indicator"],
-    )
-    def test_matches_per_trial_recomputation(self, doc):
-        config = parse_config(doc)
-        worst_repro, worst_excess = per_trial_suite(config)
+    @pytest.mark.parametrize("make_doc", TRIAL_SUITE_DOCS.values(), ids=TRIAL_SUITE_DOCS.keys())
+    def test_matches_per_trial_recomputation(self, make_doc, tmp_path):
+        config = parse_config(make_doc(tmp_path))
+        worst_repro, worst_excess, worst_defect = per_trial_suite(config)
         _, report = cli.run_verify(config)
         batched = report["identities"]
         assert abs(batched["reproducing"]["max_residual"] - worst_repro) <= 1e-14
         assert abs(batched["point_eval"]["max_excess"] - worst_excess) <= 1e-14
+        defect = batched["point_eval"]["section_equality_defect"]
+        assert abs(defect - worst_defect) <= 1e-13
         values = {c["name"]: c["value"] for c in report["criteria"]}
         assert values["reproducing"] == batched["reproducing"]["max_residual"]
         assert values["point_eval_bound"] == batched["point_eval"]["max_excess"]

@@ -1,11 +1,12 @@
 """Property-based checks of the core algebraic invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rkhslab as rl
+from rkhslab.rkhs import POINT_EVAL_SLACK
 
 FINITE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -118,3 +119,34 @@ def test_injectivity_invariant_under_feature_scaling(h, c):
         return rl.check_injectivity(op)
 
     assert report(c * h) == report(h)
+
+
+SCALED_GRID = rl.make_uniform_grid(0, 1, 150, "midpoint")
+SCALED_KERNELS = {
+    name: rl.assemble_kernel(rl.builtin_kernel(name), SCALED_GRID)
+    for name in ("brownian", "sinc", "gaussian")
+}
+
+
+@given(name=st.sampled_from(sorted(SCALED_KERNELS)), c=st.floats(min_value=1e-6, max_value=1e6))
+@settings(max_examples=30, deadline=None)
+@example(name="gaussian", c=1e6)
+@example(name="sinc", c=1e-6)
+def test_point_eval_equality_invariant_under_kernel_scaling(name, c):
+    # ||K(., q)||^2 = K(q, q) at every section whatever the kernel's scale,
+    # so the section defect relative to K(q, q) must not grow with c
+    base = SCALED_KERNELS[name]
+    scaled = rl.kernel_from_gram(c * base.gram, SCALED_GRID)
+
+    def relative_defect(kernel):
+        # section_equality_defect divides by 1 + K(q, q), which makes it an
+        # absolute error on a small-scale kernel; undoing that at the largest
+        # diagonal gives a scale-free measure, exactly the relative defect when
+        # the diagonal is constant (sinc, gaussian).  It is never below the
+        # defect, so the point_eval_equality verdict holds too.
+        top = float(np.max(np.real(np.diag(kernel.gram))))
+        defect = rl.verify_reproducing(kernel, 1e-12, 5, 0, 1e-6).section_equality_defect
+        return defect * (1.0 + top) / top
+
+    assert relative_defect(base) <= POINT_EVAL_SLACK
+    assert relative_defect(scaled) <= POINT_EVAL_SLACK

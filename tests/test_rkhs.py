@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import rkhslab as rl
+from rkhslab import cli
+from rkhslab.rkhs import POINT_EVAL_SLACK
 from conftest import random_range_function
 
 
@@ -120,6 +122,16 @@ class TestPointEvalBound:
             f = random_range_function(brownian201.kernel, rng)
             q = int(rng.integers(0, brownian201.grid.size))
             assert rl.point_eval_bound(brownian201, f, q).holds
+
+    def test_slack_is_relative_to_one_plus_rhs(self):
+        # the verdict verify gates on: excess (lhs - rhs) / (1 + rhs) at most
+        # the slack; below rhs = 1 that admits more than 1e-10 * rhs
+        rhs = 0.5
+        admitted, refused = rhs + 0.9e-10, rhs + 1.6e-10
+        assert admitted > rhs * (1.0 + 1e-10)
+        assert rl.PointEvalBound(lhs=admitted, rhs=rhs).holds
+        assert not rl.PointEvalBound(lhs=refused, rhs=rhs).holds
+        assert cli.POINT_EVAL_SLACK == POINT_EVAL_SLACK == 1e-10
 
 
 class TestProjectOntoSections:

@@ -1,19 +1,22 @@
-"""Digest of every report and recovered function the benchmark workloads produce.
+"""Every report field and recovered function the benchmark workloads produce.
 
     python3 tools/report_digest.py
 
 Run from a checkout.  The program is imported from ``src/`` of the checkout
 this script sits in, and the op lists come from ``bench/workloads.py`` at
 full sizes and seed 101.  Every op runs once through ``rkhslab.cli.main`` in
-a temporary directory.  One line per op is printed:
+a temporary directory.  One line is printed per report leaf outside
+``timings``, with the temporary directory stripped from the paths the report
+echoes, plus one for the recovered CSV when the op wrote one:
 
-    <workload> <op> <sha256>
+    <workload> <op> <json.path> <value>
+    <workload> <op> recovered_csv <sha256>
 
-The hash covers the report minus ``timings``, with the temporary directory
-stripped from the paths it echoes, followed by the bytes of the recovered
-CSV when the op wrote one.  Comparing the output of two checkouts shows
-whether a change moved any report value or recovered sample; comparing two
-runs of one checkout checks that the output is reproducible across processes.
+A list entry that carries a ``name`` is addressed by it
+(``criteria[point_eval_equality].value``), any other by its index.  A
+``diff`` of the output of two checkouts names each report field or recovered
+function a change moved; a ``diff`` of two runs of one checkout checks that
+the output is reproducible across processes.
 """
 import hashlib
 import json
@@ -26,14 +29,28 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 101
 
 
-def digest(report_path: Path, recovered_path: Path, workdir: Path) -> str:
-    report = json.loads(report_path.read_text())
+def leaves(node, path=""):
+    """``(json.path, value)`` for every leaf; an empty container is a leaf."""
+    if isinstance(node, dict) and node:
+        for key in sorted(node):
+            yield from leaves(node[key], f"{path}.{key}" if path else key)
+    elif isinstance(node, list) and node:
+        for i, item in enumerate(node):
+            label = item["name"] if isinstance(item, dict) and "name" in item else i
+            yield from leaves(item, f"{path}[{label}]")
+    else:
+        yield path, node
+
+
+def fields(report_path: Path, recovered_path: Path, workdir: Path) -> list[str]:
+    """One line per report leaf outside ``timings``, then the recovered CSV's hash."""
+    text = report_path.read_text().replace(str(workdir) + os.sep, "")
+    report = json.loads(text)
     report.pop("timings", None)
-    text = json.dumps(report, sort_keys=True).replace(str(workdir) + os.sep, "")
-    h = hashlib.sha256(text.encode())
+    lines = [f"{path} {json.dumps(value)}" for path, value in leaves(report)]
     if recovered_path.exists():
-        h.update(recovered_path.read_bytes())
-    return h.hexdigest()
+        lines.append(f"recovered_csv {hashlib.sha256(recovered_path.read_bytes()).hexdigest()}")
+    return lines
 
 
 def main() -> int:
@@ -50,8 +67,8 @@ def main() -> int:
             ops = workloads.build(workload, SEED)
             for op, paths in zip(ops, workloads.write_inputs(ops, workdir)):
                 cli.main(op.argv(paths))
-                line = digest(Path(paths["report"]), Path(paths["recovered"]), workdir)
-                print(workload, op.name, line, flush=True)
+                for line in fields(Path(paths["report"]), Path(paths["recovered"]), workdir):
+                    print(workload, op.name, line, flush=True)
     return 0
 
 
