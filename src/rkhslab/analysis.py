@@ -61,8 +61,9 @@ def check_weighted_l2(K: KernelMatrix, tol_diag: float = DEFAULT_TOL_DIAG) -> We
         return WeightedL2Verdict(
             is_weighted_l2=False, weight_v=None, weight_w=None, offdiag_ratio=0.0
         )
-    off = B - np.diag(np.diag(B))
-    ratio = float(np.linalg.norm(off) / total)
+    # B is a temporary: its off-diagonal part is B with the diagonal zeroed
+    np.fill_diagonal(B, 0)
+    ratio = float(np.linalg.norm(B) / total)
     v_max = float(diag.max())
     positive = v_max > 0 and float(diag.min()) >= 1e-12 * v_max
     if ratio <= tol_diag and positive:

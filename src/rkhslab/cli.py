@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import check_weighted_l2
-from .config import RunConfig, build_objects, load_config
+from .config import RunConfig, build_objects, check_seed, load_config
 from .errors import ConfigError, GridMismatchError, RangeViolationError
 from .features import closed_form_discrepancy
 from .io import load_function_csv, save_function_csv
@@ -293,9 +293,11 @@ def _load_config_with_env(path) -> RunConfig:
     env_seed = os.environ.get("RKHSLAB_SEED")
     if env_seed is not None:
         try:
-            config = dataclasses.replace(config, seed=int(env_seed))
+            seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"RKHSLAB_SEED must be an integer, got {env_seed!r}") from exc
+        check_seed(seed)
+        config = dataclasses.replace(config, seed=seed)
     return config
 
 

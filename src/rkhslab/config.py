@@ -139,6 +139,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_seed(seed) -> None:
+    """Reject a seed that is not a non-negative integer, from the config or ``RKHSLAB_SEED``."""
+    _require(_is_int(seed) and seed >= 0, "seed must be a non-negative integer")
+
+
 def _parse_grid(raw, label: str) -> GridSpec:
     _require_object(raw, f"grids.{label}")
     _require("interval" in raw, f"grids.{label}.interval is required")
@@ -247,7 +252,7 @@ def parse_config(raw: dict) -> RunConfig:
     trials = raw.get("trials", 100)
     _require(_is_int(trials) and trials >= 1, "trials must be an integer >= 1")
     seed = raw.get("seed", 0)
-    _require(_is_int(seed), "seed must be an integer")
+    check_seed(seed)
 
     return RunConfig(
         grid_E=grid_E,

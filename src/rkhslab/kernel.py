@@ -5,7 +5,11 @@ matrix ``gram @ diag(w)`` acting on sample vectors, where ``gram`` holds the
 kernel values at grid points and ``w`` the quadrature weights.  All solves go
 through the eigendecomposition of the symmetrized form
 ``S = sqrt(W) gram sqrt(W)``, with a relative eigenvalue cutoff standing in
-for restriction to the operator range.
+for restriction to the operator range.  A ``KernelMatrix`` decomposes the
+n x n form itself; the kernel a wide transform induces
+(``transform.InducedKernel``) reads the same spectrum from its smaller
+feature side, so its eigenvector matrix has fewer columns than rows and its
+remaining eigenvalues are structural zeros.
 """
 from __future__ import annotations
 
@@ -50,8 +54,9 @@ class KernelMatrix:
         """Eigenpairs of ``S = sqrt(W) gram sqrt(W)``, descending; computed once, on first use."""
         sw = np.sqrt(self.grid.weights)
         S = sw[:, None] * self.gram * sw[None, :]
-        # rebinding frees the unsymmetrized form before eigh runs
-        S = 0.5 * (S + S.conj().T)
+        # halving first cannot overflow; the overlapping transpose is read before S is written
+        S *= 0.5
+        S += S.conj().T
         lam, U = np.linalg.eigh(S)
         # a fancy index keeps U Fortran-ordered; the solves' last digits depend on it
         order = np.arange(lam.size - 1, -1, -1)
@@ -64,7 +69,11 @@ class SpectralData:
 
     Eigenvalues are sorted descending; eigenvector columns are orthonormal in
     the Euclidean product of the symmetrized form.  ``numerical_rank`` counts
-    eigenvalues strictly above ``cutoff``.
+    eigenvalues strictly above ``cutoff``.  The eigenvectors are n x n, or
+    n x r for a form of structural rank at most r < n (the kernel of a wide
+    transform): its other n - r eigenvalues are zeros sorted in, and column k
+    pairs with eigenvalue k for every eigenvalue above zero, so for every
+    kept one.
     """
 
     eigenvalues: np.ndarray
@@ -86,17 +95,28 @@ class SolveResult:
 
 
 def kernel_from_gram(gram: np.ndarray, grid: Grid) -> KernelMatrix:
-    """Wrap a raw matrix of kernel values: validate, symmetrize, record defect."""
+    """Wrap a raw matrix of kernel values: validate, symmetrize, record defect.
+
+    An exactly Hermitian input is stored as a copy with defect 0.
+    """
     gram = as_samples(gram)
     if gram.shape != (grid.size, grid.size):
         raise ValueError(f"gram must be {grid.size}x{grid.size}, got {gram.shape}")
     if not np.all(np.isfinite(gram)):
         raise ValueError("kernel produced non-finite values")
-    defect = float(np.max(np.abs(gram - gram.conj().T)))
-    scale = float(np.max(np.abs(gram)))
-    if scale > 0 and defect > HERMITIAN_REJECT_REL * scale:
-        raise NonHermitianKernelError(defect, scale)
-    sym = 0.5 * (gram + gram.conj().T)
+    adjoint = gram.conj().T
+    if np.array_equal(gram, adjoint):
+        defect = 0.0
+        sym = gram.copy()
+    else:
+        # a difference that overflows exceeds any admissible defect
+        with np.errstate(over="ignore"):
+            defect = float(np.max(np.abs(gram - adjoint)))
+        scale = float(np.max(np.abs(gram)))
+        if scale > 0 and defect > HERMITIAN_REJECT_REL * scale:
+            raise NonHermitianKernelError(defect, scale)
+        # halving each side first cannot overflow, and is exact in normal range
+        sym = 0.5 * gram + 0.5 * adjoint
     if np.iscomplexobj(sym) and not np.any(sym.imag):
         sym = sym.real
     return KernelMatrix(grid=grid, gram=sym, hermitian_defect=defect)
@@ -205,9 +225,15 @@ def _solve_columns(
     sw = np.sqrt(K.grid.weights)
     single = rhs.ndim == 1
     cols = rhs[:, None] if single else rhs
-    coeffs = U.conj().T @ (sw[:, None] * cols)
-    total = np.linalg.norm(coeffs, axis=0)
-    dropped = np.linalg.norm(coeffs[rank:, :], axis=0)
+    weighted = sw[:, None] * cols
+    coeffs = U.conj().T @ weighted
+    if U.shape[1] == U.shape[0]:
+        total = np.linalg.norm(coeffs, axis=0)
+        dropped = np.linalg.norm(coeffs[rank:, :], axis=0)
+    else:
+        # U spans only part of the space: measure what the kept columns leave out
+        total = np.linalg.norm(weighted, axis=0)
+        dropped = np.linalg.norm(weighted - U[:, :rank] @ coeffs[:rank], axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         residuals = np.where(total > 0, dropped / total, 0.0)
     if range_tol is not None and np.any(residuals > range_tol):

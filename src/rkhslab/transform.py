@@ -9,10 +9,19 @@ and the operator identities (factorization, isometry, round-trip inversion)
 become finite-dimensional residuals that this module measures.  Since
 ``K = L L*``, the injectivity rank and every solve read one spectrum, the
 induced kernel's cached ``eigh``, at one cutoff.
+
+With ``B = diag(m)^{1/2} H diag(w)^{1/2}`` (|T| x |E|), the weighted induced
+form is ``S = Bᴴ B``.  When |T| < |E| that spectrum is read from the |T| side:
+a thin QR ``Bᴴ = Q R`` gives ``S = Q (R Rᴴ) Qᴴ``, so one ``eigh`` of the
+|T| x |T| matrix ``R Rᴴ = V Λ Vᴴ`` yields the |T| leading eigenvalues and
+the eigenvectors ``Q V``; the other |E| - |T| eigenvalues are structural
+zeros.  A square or tall transform decomposes the |E| x |E| form itself,
+which is then the smaller side.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +58,34 @@ class FeatureMap:
 
 
 @dataclass
+class InducedKernel(KernelMatrix):
+    """The kernel ``Hᴴ diag(m) H`` a feature map induces on grid E.
+
+    It refers to its feature map, which it does not copy, so a wide map
+    (|T| < |E|) decomposes its |T| x |T| side; see the module docstring.
+    """
+
+    feature: FeatureMap
+
+    @cached_property
+    def weighted_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (|E|, descending) and eigenvectors (|E| x min(|T|, |E|)) of ``Bᴴ B``."""
+        H = self.feature.matrix
+        m_dim, n_dim = H.shape
+        if m_dim >= n_dim:
+            return super().weighted_eigh
+        sm = np.sqrt(self.feature.grid_T.weights)
+        sw = np.sqrt(self.grid.weights)
+        Q, R = np.linalg.qr((sm[:, None] * H * sw[None, :]).conj().T)
+        lam, V = np.linalg.eigh(R @ R.conj().T)
+        order = np.arange(m_dim - 1, -1, -1)
+        lam = lam[order]
+        # the structural zeros sort in after the positive eigenvalues
+        lam = np.insert(lam, np.count_nonzero(lam > 0), np.zeros(n_dim - m_dim))
+        return lam, Q @ V[:, order]
+
+
+@dataclass
 class TransformOperator:
     """A feature matrix and its induced kernel; forward and adjoint are formed per use.
 
@@ -56,7 +93,7 @@ class TransformOperator:
     """
 
     feature: FeatureMap
-    induced: KernelMatrix
+    induced: InducedKernel
 
     @property
     def grid_T(self) -> Grid:
@@ -120,7 +157,11 @@ def _adjoint(feature: FeatureMap) -> np.ndarray:
 
 def build_transform(feature: FeatureMap) -> TransformOperator:
     """Wrap a feature map with its induced kernel ``Hᴴ diag(m) H``."""
-    induced = kernel_from_gram(_forward(feature) @ feature.matrix, feature.grid_E)
+    kernel = kernel_from_gram(_forward(feature) @ feature.matrix, feature.grid_E)
+    induced = InducedKernel(
+        grid=kernel.grid, gram=kernel.gram, hermitian_defect=kernel.hermitian_defect,
+        feature=feature,
+    )
     return TransformOperator(feature=feature, induced=induced)
 
 

@@ -59,6 +59,13 @@ class TestConfigParsing:
         with pytest.raises(rl.ConfigError, match="trials"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("seed", [-3, 1.5, True])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        doc = indicator_config()
+        doc["seed"] = seed
+        with pytest.raises(rl.ConfigError, match="seed must be a non-negative integer"):
+            parse_config(doc)
+
     def test_default_t_grid_from_family(self, tmp_path):
         doc = indicator_config()
         del doc["grids"]["T"]
@@ -217,6 +224,17 @@ class TestVerifyCommand:
         cfg = write_config(tmp_path, indicator_config())
         monkeypatch.setenv("RKHSLAB_SEED", "not-a-number")
         assert main(["verify", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("source", ["config", "env"])
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    def test_negative_seed_exit_two(self, tmp_path, monkeypatch, capsys, command, source):
+        out = tmp_path / "r.json"
+        cfg = write_config(tmp_path, indicator_config(n=20, seed=-3 if source == "config" else 0))
+        if source == "env":
+            monkeypatch.setenv("RKHSLAB_SEED", "-1")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_kernel_report_is_strict_json(self, tmp_path):
         cfg = write_config(tmp_path, kernel_config("constant", params={"value": 0.0}))

@@ -80,6 +80,20 @@ def decompositions(monkeypatch):
 
 
 @pytest.fixture
+def eigh_shapes(monkeypatch):
+    """Records the operand shape of every ``np.linalg.eigh`` call."""
+    shapes = []
+    original = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return shapes
+
+
+@pytest.fixture
 def batched_solves(monkeypatch):
     """Counts ``_solve_columns`` calls, patched in every module that binds it."""
     original = kernel_module._solve_columns
@@ -166,6 +180,27 @@ class TestDecompositionCounts:
         assert decompositions == {"svd": 0, "eigh": 1}
         assert first.injective
         assert second.numerical_rank < first.numerical_rank
+
+
+@pytest.mark.parametrize("n_T, n_E, side", [(30, 60, 30), (60, 60, 60), (60, 30, 30)],
+                         ids=["wide", "square", "tall"])
+def test_invert_decomposes_the_smaller_side(tmp_path, eigh_shapes, n_T, n_E, side):
+    # a wide transform reads S = Bᴴ B from the |T| x |T| matrix R Rᴴ of a thin QR
+    config = parse_config(indicator_doc(n_T=n_T, n_E=n_E))
+    data = write_invert_data(tmp_path, config)
+    eigh_shapes.clear()
+    code, report = cli.run_invert(config, data, tmp_path / "rec.csv")
+    assert code == (cli.EXIT_RANGE if n_T > n_E else cli.EXIT_OK)
+    assert report["injectivity"]["injective"] is (n_T <= n_E)
+    assert eigh_shapes == [(side, side)]
+
+
+def test_wide_verify_one_eigh_on_the_feature_side(eigh_shapes, decompositions):
+    code, report = cli.run_verify(parse_config(indicator_doc(n_T=30, n_E=60)))
+    assert code == cli.EXIT_OK
+    assert report["injectivity"]["injective"] is True
+    assert eigh_shapes == [(30, 30)]
+    assert decompositions == {"svd": 0, "eigh": 1}
 
 
 def trial_images(kernel, config):

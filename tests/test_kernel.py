@@ -54,6 +54,35 @@ class TestAssembleKernel:
         np.testing.assert_allclose(K.gram, K.gram.conj().T)
 
 
+class TestKernelFromGram:
+    def test_hermitian_input_stored_as_copy_with_zero_defect(self, grid01):
+        p = grid01.points
+        gram = np.minimum(p[:, None], p[None, :]) * np.exp(2j * (p[:, None] - p[None, :]))
+        K = rl.kernel_from_gram(gram, grid01)
+        assert K.hermitian_defect == 0.0
+        assert not np.shares_memory(K.gram, gram)
+        np.testing.assert_array_equal(K.gram, gram)
+
+    def test_huge_symmetric_entries_stay_finite(self):
+        # unit weights: the weighted form holds the huge entries too
+        g = rl.make_uniform_grid(0, 3, 3, "midpoint")
+        K = rl.kernel_from_gram(np.full((3, 3), 1.5e308), g)
+        assert K.hermitian_defect == 0.0
+        np.testing.assert_array_equal(K.gram, 1.5e308)
+        assert np.isfinite(rl.validate_psd(K, 1e-10).min_eigenvalue)
+
+    def test_huge_nearly_hermitian_entries_stay_finite(self):
+        g = rl.make_uniform_grid(0, 3, 3, "midpoint")
+        gram = np.full((3, 3), 1.5e308)
+        gram[0, 1] *= 1 + 1e-9
+        K = rl.kernel_from_gram(gram, g)
+        assert 0 < K.hermitian_defect <= 1e-9 * 1.5e308 * (1 + 1e-6)
+        assert np.all(np.isfinite(K.gram))
+        np.testing.assert_array_equal(K.gram, K.gram.T)
+        assert K.gram[0, 1] == pytest.approx(1.5e308 * (1 + 0.5e-9), rel=1e-15)
+        assert np.isfinite(rl.validate_psd(K, 1e-10).min_eigenvalue)
+
+
 class TestValidatePsd:
     def test_delta_kernel_passes(self, grid01):
         K = rl.discrete_delta_kernel(grid01)

@@ -317,3 +317,97 @@ class TestInvert:
         f = rl.apply_forward(fourier_op, F0)
         result = rl.invert(fourier_op, f)
         assert result.range_residual <= 1e-8
+
+
+def _weighted_factor(op):
+    """``B = diag(m)^{1/2} H diag(w)^{1/2}``, so the weighted induced form is ``Bᴴ B``."""
+    sm = np.sqrt(op.grid_T.weights)
+    sw = np.sqrt(op.grid_E.weights)
+    return sm[:, None] * op.feature.matrix * sw[None, :]
+
+
+@pytest.fixture(scope="module", params=["real", "complex", "duplicate-rows"])
+def wide_op(request, small_grids):
+    # |T| = 30 < |E| = 40: the induced kernel decomposes its 30 x 30 side
+    grid_T, grid_E = small_grids
+    rng = np.random.default_rng(21)
+    H = rng.standard_normal((30, 40))
+    if request.param == "complex":
+        H = H + 1j * rng.standard_normal((30, 40))
+    if request.param == "duplicate-rows":
+        H[7, :] = H[3, :]
+    return rl.build_transform(rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H))
+
+
+class TestWideSpectrum:
+    def test_eigenvalues_match_dense_form(self, wide_op):
+        B = _weighted_factor(wide_op)
+        dense = np.linalg.eigvalsh(B.conj().T @ B)[::-1]
+        spec = rl.spectral_data(wide_op.induced, 1e-12)
+        lam = spec.eigenvalues
+        assert lam.shape == (40,) and np.all(np.diff(lam) <= 0)
+        assert spec.eigenvectors.shape == (40, 30)
+        assert np.max(np.abs(lam - dense)) <= 1e-12 * dense[0]
+        # the 10 structural zeros are exact; past the rank only roundoff remains
+        assert np.count_nonzero(lam == 0.0) >= 10
+        assert np.max(np.abs(lam[spec.numerical_rank:])) <= 1e-14 * lam[0]
+
+    def test_eigenvectors_orthonormal_and_rebuild_form(self, wide_op):
+        B = _weighted_factor(wide_op)
+        S = B.conj().T @ B
+        spec = rl.spectral_data(wide_op.induced, 1e-12)
+        U = spec.eigenvectors
+        assert np.max(np.abs(U.conj().T @ U - np.eye(30))) <= 1e-12
+        kept = U[:, : spec.numerical_rank]
+        recon = (kept * spec.eigenvalues[: spec.numerical_rank]) @ kept.conj().T
+        assert np.linalg.norm(recon - S) <= 1e-12 * np.linalg.norm(S)
+
+    def test_injectivity_from_the_feature_side(self, wide_op, request):
+        inj = rl.check_injectivity(wide_op)
+        duplicate = "duplicate-rows" in request.node.callspec.id
+        assert inj.numerical_rank == (29 if duplicate else 30)
+        assert inj.injective is not duplicate
+
+    def test_range_residual_matches_dense_projection(self, wide_op):
+        rng = np.random.default_rng(8)
+        B = _weighted_factor(wide_op)
+        source = rl.DiscreteFunction(rng.standard_normal(30), wide_op.grid_T)
+        image = rl.apply_forward(wide_op, source).values
+        f = rl.DiscreteFunction(image + 0.05 * rng.standard_normal(40), wide_op.grid_E)
+        # reference: the part of sqrt(w) f outside the column space of Bᴴ
+        y = np.sqrt(wide_op.grid_E.weights) * f.values
+        coef = np.linalg.lstsq(B.conj().T, y, rcond=None)[0]
+        expected = np.linalg.norm(y - B.conj().T @ coef) / np.linalg.norm(y)
+        assert expected > 1e-3
+        K = wide_op.induced
+        got = rl.solve_kernel_system(K, f, range_tol=None).range_residual
+        assert abs(got - expected) <= 1e-12
+        with pytest.raises(rl.RangeViolationError) as err:
+            rl.solve_kernel_system(K, f, range_tol=1e-6)
+        assert err.value.residual == pytest.approx(expected, abs=1e-12)
+        in_range = rl.DiscreteFunction(image, wide_op.grid_E)
+        assert rl.solve_kernel_system(K, in_range).range_residual <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "indicator"])
+def test_wide_invert_matches_least_squares(kind):
+    grid_T = rl.make_uniform_grid(0, 1, 60, "midpoint")
+    grid_E = rl.make_uniform_grid(0, 1, 120, "midpoint")
+    rng = np.random.default_rng(17)
+    if kind == "indicator":
+        fm = rl.make_feature_map(rl.FeatureFamily("indicator"), grid_T, grid_E)
+    else:
+        H = rng.standard_normal((60, 120))
+        if kind == "complex":
+            H = H + 1j * rng.standard_normal((60, 120))
+        fm = rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H)
+    op = rl.build_transform(fm)
+    source = rng.standard_normal(60)
+    f = rl.apply_forward(op, rl.DiscreteFunction(source, grid_T))
+    recovered = rl.invert(op, f).recovered.values
+    # least squares on the weighted forward matrix sqrt(w) Hᴴ diag(m)
+    sw = np.sqrt(grid_E.weights)
+    forward = fm.matrix.conj().T * grid_T.weights[None, :]
+    reference = np.linalg.lstsq(sw[:, None] * forward, sw * f.values, rcond=None)[0]
+    assert np.linalg.norm(recovered - reference) <= 1e-9 * np.linalg.norm(reference)
+    assert np.linalg.norm(recovered - source) <= 1e-9 * np.linalg.norm(source)
