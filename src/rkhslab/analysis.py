@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NotInjectiveError
 from .grid import DiscreteFunction
 from .kernel import DEFAULT_CUTOFF_REL, KernelMatrix
-from .transform import TransformOperator, check_injectivity, verify_identities
+from .transform import InducedKernel, check_injectivity, verify_identities
 
 DEFAULT_TOL_DIAG = 1e-8
 
@@ -79,7 +79,7 @@ def check_weighted_l2(K: KernelMatrix, tol_diag: float = DEFAULT_TOL_DIAG) -> We
 
 
 def check_unitary_inversion(
-    op: TransformOperator,
+    op: InducedKernel,
     cutoff_rel: float = DEFAULT_CUTOFF_REL,
     trials: int = 20,
     seed: int = 0,
@@ -100,7 +100,7 @@ def check_unitary_inversion(
         raise NotInjectiveError(inj.numerical_rank, op.grid_T.size)
     identities = verify_identities(op, cutoff_rel, trials, seed)
     return UnitaryInversionReport(
-        verdict_from_kernel=check_weighted_l2(op.induced, tol_diag),
+        verdict_from_kernel=check_weighted_l2(op, tol_diag),
         l2_adjoint_error=identities.plain_adjoint_error,
         rkhs_adjoint_error=identities.roundtrip_error,
         trials=trials,

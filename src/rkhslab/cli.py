@@ -27,7 +27,7 @@ from .io import load_function_csv, save_function_csv
 from .kernel import condition_number, spectral_data, validate_psd
 from .report import SCHEMA_VERSION, criterion, dump_report, write_report
 from .rkhs import POINT_EVAL_SLACK, verify_reproducing
-from .transform import check_injectivity, invert as transform_invert, verify_identities
+from .transform import InducedKernel, check_injectivity, invert, verify_identities
 
 # fixed tolerances of the verification suite; the config only controls the
 # spectral cutoff, PSD/diagonality thresholds, and the range gate
@@ -155,11 +155,10 @@ def run_verify(config: RunConfig):
     injectivity_block = None
     unitary_block = None
     closed_form_block = None
-    if built.operator is not None and psd.passed:
+    if isinstance(kernel, InducedKernel) and psd.passed:
         t_transform = time.perf_counter()
-        op = built.operator
-        idrep = verify_identities(op, config.cutoff_rel, config.trials, config.seed)
-        injectivity_block = dataclasses.asdict(check_injectivity(op, config.cutoff_rel))
+        idrep = verify_identities(kernel, config.cutoff_rel, config.trials, config.seed)
+        injectivity_block = dataclasses.asdict(check_injectivity(kernel, config.cutoff_rel))
         criteria.append(
             _bound("factorization", idrep.factorization_residual, FACTORIZATION_TOL)
         )
@@ -208,7 +207,7 @@ def run_verify(config: RunConfig):
                 )
             )
         if built.family is not None:
-            gap = closed_form_discrepancy(built.family, op)
+            gap = closed_form_discrepancy(built.family, kernel)
             if gap is not None:
                 closed_form_block = {"max_error": gap}
         timings["transform_suite_s"] = time.perf_counter() - t_transform
@@ -246,11 +245,10 @@ def run_invert(config: RunConfig, data_path, out_path):
     """
     timings: dict[str, float] = {}
     started = time.perf_counter()
-    built = build_objects(config)
-    if built.operator is None:
+    op = build_objects(config).kernel
+    if not isinstance(op, InducedKernel):
         raise ConfigError("invert needs a feature source (feature_family or feature CSV)")
-    op = built.operator
-    data = load_function_csv(data_path, built.grid_E)
+    data = load_function_csv(data_path, op.grid_E)
 
     report = {
         **_header("invert", config),
@@ -265,7 +263,7 @@ def run_invert(config: RunConfig, data_path, out_path):
         report["timings"] = {"total_s": time.perf_counter() - started}
         return EXIT_RANGE, report
 
-    result = transform_invert(op, data, config.cutoff_rel, range_tol=None)
+    result = invert(op, data, config.cutoff_rel, range_tol=None)
     save_function_csv(result.recovered, out_path)
     report["range_residual"] = result.range_residual
     violated = result.range_residual > config.range_tol

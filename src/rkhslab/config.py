@@ -2,7 +2,9 @@
 
 A run declares grids, one source (built-in kernel, feature family, or CSV
 matrices), tolerances, trial count and seed.  Density expressions are limited
-to a whitelist of named forms so configs stay bit-exactly reproducible.
+to a whitelist of named forms so configs stay bit-exactly reproducible.  Every
+object rejects unknown fields and every parameter must be a JSON number.  For
+a feature source the built kernel is the transform's ``InducedKernel``.
 """
 from __future__ import annotations
 
@@ -14,22 +16,27 @@ import numpy as np
 
 from .analysis import DEFAULT_TOL_DIAG
 from .errors import ConfigError, GridMismatchError, NonHermitianKernelError
-from .features import FAMILY_NAMES, FeatureFamily, make_feature_map, recommended_t_interval
+from .features import (
+    FAMILY_NAMES,
+    FAMILY_PARAMS,
+    FeatureFamily,
+    make_feature_map,
+    recommended_t_interval,
+)
 from .grid import QUADRATURE_RULES, Grid, make_uniform_grid
 from .io import load_feature_csv, load_kernel_csv
 from .kernel import (
     BUILTIN_KERNEL_NAMES,
+    BUILTIN_KERNEL_PARAMS,
     DEFAULT_CUTOFF_REL,
     DEFAULT_RANGE_TOL,
     KernelMatrix,
     assemble_kernel,
     builtin_kernel,
 )
-from .transform import TransformOperator, build_transform
+from .transform import build_transform
 
 SOURCE_KEYS = ("kernel", "feature_family", "csv")
-
-DENSITY_NAMES = ("constant", "linear", "exponential")
 
 _TOLERANCE_DEFAULTS = {
     "cutoff_rel": DEFAULT_CUTOFF_REL,
@@ -37,6 +44,13 @@ _TOLERANCE_DEFAULTS = {
     "tol_diag": DEFAULT_TOL_DIAG,
     "range_tol": DEFAULT_RANGE_TOL,
 }
+
+
+#: the parameters each named density takes
+DENSITY_PARAMS = {
+    "constant": ("value",), "linear": ("intercept", "slope"), "exponential": ("rate", "scale")
+}
+DENSITY_NAMES = tuple(DENSITY_PARAMS)
 
 
 def make_density(name: str, params: dict):
@@ -118,11 +132,10 @@ class RunConfig:
 
 @dataclass
 class BuiltObjects:
-    grid_E: Grid
-    grid_T: Grid | None
+    """The source's kernel (a feature source's holds both grids) and its built-in family."""
+
     kernel: KernelMatrix
-    operator: TransformOperator | None
-    family: FeatureFamily | None
+    family: FeatureFamily | None = None
 
 
 def _require(condition: bool, message: str) -> None:
@@ -134,9 +147,34 @@ def _require_object(value, field: str) -> None:
     _require(isinstance(value, dict), f"{field} must be an object")
 
 
+def _check_known(raw: dict, known, field: str) -> None:
+    unknown = set(raw) - set(known)
+    _require(not unknown, f"{field} has unknown fields: {sorted(unknown)}")
+
+
 def _is_int(value) -> bool:
     # JSON true/false parse as bool, which is an int subclass; reject them
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_params(raw, known, field: str) -> None:
+    """A ``params`` object: known keys only, each value a JSON number."""
+    _require_object(raw, field)
+    _check_known(raw, known, field)
+    for key, value in raw.items():
+        _require(_is_number(value), f"{field}.{key} must be a number")
+
+
+def _parse_density(raw, field: str) -> tuple[str, dict]:
+    _require(isinstance(raw, dict) and "name" in raw, f"{field} needs a density name")
+    _check_known(raw, ("name", "params"), field)
+    _require(raw["name"] in DENSITY_NAMES, f"{field}.name must be one of {DENSITY_NAMES}")
+    _check_params(raw.get("params", {}), DENSITY_PARAMS[raw["name"]], f"{field}.params")
+    return raw["name"], dict(raw.get("params", {}))
 
 
 def check_seed(seed) -> None:
@@ -147,10 +185,12 @@ def check_seed(seed) -> None:
 def _parse_grid(raw, label: str) -> GridSpec:
     _require_object(raw, f"grids.{label}")
     _require("interval" in raw, f"grids.{label}.interval is required")
+    _check_known(raw, ("interval", "n", "rule", "density"), f"grids.{label}")
     interval = raw["interval"]
     _require(
-        isinstance(interval, (list, tuple)) and len(interval) == 2,
-        f"grids.{label}.interval must be a pair [a, b]",
+        isinstance(interval, (list, tuple)) and len(interval) == 2
+        and all(_is_number(x) for x in interval),
+        f"grids.{label}.interval must be a pair of numbers [a, b]",
     )
     a, b = float(interval[0]), float(interval[1])
     _require(a < b, f"grids.{label}.interval must have a < b")
@@ -159,21 +199,9 @@ def _parse_grid(raw, label: str) -> GridSpec:
     _require(_is_int(n) and n >= 1, f"grids.{label}.n must be an integer >= 1")
     rule = raw.get("rule", "trapezoid")
     _require(rule in QUADRATURE_RULES, f"grids.{label}.rule must be one of {QUADRATURE_RULES}")
-    density_name = None
-    density_params: dict = {}
+    density_name, density_params = None, {}
     if "density" in raw:
-        dens = raw["density"]
-        _require(isinstance(dens, dict) and "name" in dens, f"grids.{label}.density needs a name")
-        density_name = dens["name"]
-        _require(
-            density_name in DENSITY_NAMES,
-            f"grids.{label}.density.name must be one of {DENSITY_NAMES}",
-        )
-        _require_object(dens.get("params", {}), f"grids.{label}.density.params")
-        density_params = dict(dens.get("params", {}))
-    known = {"interval", "n", "rule", "density"}
-    unknown = set(raw) - known
-    _require(not unknown, f"grids.{label} has unknown fields: {sorted(unknown)}")
+        density_name, density_params = _parse_density(raw["density"], f"grids.{label}.density")
     return GridSpec(
         interval=(a, b), n=n, rule=rule,
         density_name=density_name, density_params=density_params,
@@ -183,8 +211,7 @@ def _parse_grid(raw, label: str) -> GridSpec:
 def _parse_source(raw) -> tuple[str, dict]:
     _require_object(raw, "source")
     declared = [key for key in SOURCE_KEYS if key in raw]
-    unknown = set(raw) - set(SOURCE_KEYS)
-    _require(not unknown, f"source has unknown fields: {sorted(unknown)}")
+    _check_known(raw, SOURCE_KEYS, "source")
     if len(declared) != 1:
         names = ", ".join(declared) if declared else "none"
         raise ConfigError(
@@ -194,20 +221,26 @@ def _parse_source(raw) -> tuple[str, dict]:
     params = raw[kind]
     _require_object(params, f"source.{kind}")
     if kind == "kernel":
+        _check_known(params, ("name", "params"), "source.kernel")
         _require("name" in params, "source.kernel.name is required")
         _require(
             params["name"] in BUILTIN_KERNEL_NAMES,
             f"source.kernel.name must be one of {BUILTIN_KERNEL_NAMES}",
         )
-        _require_object(params.get("params", {}), "source.kernel.params")
+        known = BUILTIN_KERNEL_PARAMS[params["name"]]
+        _check_params(params.get("params", {}), known, "source.kernel.params")
     elif kind == "feature_family":
+        _check_known(params, ("family", "params", "weight"), "source.feature_family")
         _require("family" in params, "source.feature_family.family is required")
         _require(
             params["family"] in FAMILY_NAMES,
             f"source.feature_family.family must be one of {FAMILY_NAMES}",
         )
-        _require_object(params.get("params", {}), "source.feature_family.params")
+        _check_params(params.get("params", {}), FAMILY_PARAMS, "source.feature_family.params")
+        if params.get("weight") is not None:
+            _parse_density(params["weight"], "source.feature_family.weight")
     else:
+        _check_known(params, ("path", "kind", "mode"), "source.csv")
         _require("path" in params, "source.csv.path is required")
         csv_kind = params.get("kind", "kernel")
         _require(
@@ -227,24 +260,20 @@ def parse_config(raw: dict) -> RunConfig:
     Raises ``ConfigError`` with the offending field named.
     """
     _require(isinstance(raw, dict), "config must be a JSON object")
-    known = {"grids", "source", "tolerances", "trials", "seed"}
-    unknown = set(raw) - known
-    _require(not unknown, f"config has unknown fields: {sorted(unknown)}")
+    _check_known(raw, ("grids", "source", "tolerances", "trials", "seed"), "config")
     _require("grids" in raw and isinstance(raw["grids"], dict), "grids is required")
     _require("E" in raw["grids"], "grids.E is required")
     grid_E = _parse_grid(raw["grids"]["E"], "E")
     grid_T = None
     if "T" in raw["grids"]:
         grid_T = _parse_grid(raw["grids"]["T"], "T")
-    unknown_grids = set(raw["grids"]) - {"E", "T"}
-    _require(not unknown_grids, f"grids has unknown entries: {sorted(unknown_grids)}")
+    _check_known(raw["grids"], ("E", "T"), "grids")
     _require("source" in raw, "source is required")
     source_kind, source_params = _parse_source(raw["source"])
 
-    _require_object(raw.get("tolerances", {}), "tolerances")
+    _check_params(raw.get("tolerances", {}), _TOLERANCE_DEFAULTS, "tolerances")
     tolerances = dict(_TOLERANCE_DEFAULTS)
     for key, value in raw.get("tolerances", {}).items():
-        _require(key in _TOLERANCE_DEFAULTS, f"tolerances.{key} is not a known tolerance")
         value = float(value)
         _require(0.0 < value < 1.0, f"tolerances.{key} must lie in (0, 1)")
         tolerances[key] = value
@@ -277,28 +306,11 @@ def load_config(path) -> RunConfig:
 
 
 def _family_from_params(params: dict) -> FeatureFamily:
-    weight = None
-    if "weight" in params and params["weight"] is not None:
-        spec = params["weight"]
-        _require(
-            isinstance(spec, dict) and "name" in spec,
-            "source.feature_family.weight needs a density name",
-        )
-        _require(
-            spec["name"] in DENSITY_NAMES,
-            f"feature weight name must be one of {DENSITY_NAMES}",
-        )
-        _require_object(spec.get("params", {}), "source.feature_family.weight.params")
-        weight = make_density(spec["name"], dict(spec.get("params", {})))
-    family_params = dict(params.get("params", {}))
+    weight = params.get("weight")
+    if weight is not None:
+        weight = make_density(weight["name"], weight.get("params", {}))
     try:
-        return FeatureFamily(
-            family=params["family"],
-            band=family_params.get("band"),
-            sigma=family_params.get("sigma"),
-            modes=family_params.get("modes"),
-            weight=weight,
-        )
+        return FeatureFamily(family=params["family"], weight=weight, **params.get("params", {}))
     except ValueError as exc:
         raise ConfigError(f"feature_family: {exc}") from exc
 
@@ -313,16 +325,15 @@ def _default_t_spec(family: FeatureFamily, config: RunConfig) -> GridSpec:
 
 
 def build_objects(config: RunConfig) -> BuiltObjects:
-    """Construct grids, kernel, and (for feature sources) the transform."""
+    """Construct the source's kernel: for a feature source, the transform's induced kernel."""
     grid_E = config.grid_E.build()
     if config.source_kind == "kernel":
         params = config.source_params
         try:
             kfun = builtin_kernel(params["name"], **params.get("params", {}))
-            kernel = assemble_kernel(kfun, grid_E)
+            return BuiltObjects(assemble_kernel(kfun, grid_E))
         except ValueError as exc:
             raise ConfigError(f"source.kernel: {exc}") from exc
-        return BuiltObjects(grid_E=grid_E, grid_T=None, kernel=kernel, operator=None, family=None)
 
     if config.source_kind == "feature_family":
         family = _family_from_params(config.source_params)
@@ -334,10 +345,7 @@ def build_objects(config: RunConfig) -> BuiltObjects:
             raise  # a numerical failure, not a config error
         except ValueError as exc:
             raise ConfigError(f"feature_family: {exc}") from exc
-        op = build_transform(feature)
-        return BuiltObjects(
-            grid_E=grid_E, grid_T=grid_T, kernel=op.induced, operator=op, family=family
-        )
+        return BuiltObjects(build_transform(feature), family)
 
     # CSV source
     params = config.source_params
@@ -345,16 +353,10 @@ def build_objects(config: RunConfig) -> BuiltObjects:
     kind = params.get("kind", "kernel")
     try:
         if kind == "kernel":
-            kernel = load_kernel_csv(params["path"], grid_E, mode)
-            return BuiltObjects(
-                grid_E=grid_E, grid_T=None, kernel=kernel, operator=None, family=None
-            )
+            return BuiltObjects(load_kernel_csv(params["path"], grid_E, mode))
         _require(config.grid_T is not None, "grids.T is required for a feature CSV source")
         grid_T = config.grid_T.build()
         feature = load_feature_csv(params["path"], grid_T, grid_E, mode)
-        op = build_transform(feature)
-        return BuiltObjects(
-            grid_E=grid_E, grid_T=grid_T, kernel=op.induced, operator=op, family=None
-        )
+        return BuiltObjects(build_transform(feature))
     except (OSError, ValueError, GridMismatchError, NonHermitianKernelError) as exc:
         raise ConfigError(f"source.csv: {exc}") from exc

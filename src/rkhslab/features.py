@@ -22,9 +22,12 @@ import numpy as np
 
 from .grid import Grid, evaluate
 from .kernel import builtin_kernel
-from .transform import FeatureMap
+from .transform import FeatureMap, InducedKernel
 
 FAMILY_NAMES = ("fourier", "indicator", "gaussian", "orthonormal_diagonal")
+
+#: the numeric parameters a ``FeatureFamily`` takes besides its name and weight
+FAMILY_PARAMS = ("band", "sigma", "modes")
 
 #: how much slack interval endpoints get in compatibility checks
 _ENDPOINT_RTOL = 1e-9
@@ -181,11 +184,11 @@ def closed_form_kernel(spec: FeatureFamily, grid_T: Grid) -> Callable | None:
     return None
 
 
-def closed_form_discrepancy(spec: FeatureFamily, op) -> float | None:
+def closed_form_discrepancy(spec: FeatureFamily, op: InducedKernel) -> float | None:
     """Max absolute gap between the induced gram and the closed form on grid E."""
     kfun = closed_form_kernel(spec, op.grid_T)
     if kfun is None:
         return None
     p = op.grid_E.points
     exact = evaluate(kfun, p[:, None], p[None, :])
-    return float(np.max(np.abs(op.induced.gram - exact)))
+    return float(np.max(np.abs(op.gram - exact)))

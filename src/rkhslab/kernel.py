@@ -94,11 +94,8 @@ class SolveResult:
     range_residual: float
 
 
-def kernel_from_gram(gram: np.ndarray, grid: Grid) -> KernelMatrix:
-    """Wrap a raw matrix of kernel values: validate, symmetrize, record defect.
-
-    An exactly Hermitian input is stored as a copy with defect 0.
-    """
+def _hermitian_gram(gram: np.ndarray, grid: Grid) -> tuple[np.ndarray, float]:
+    """Validate a raw gram; return its Hermitian part (a new array) and its defect."""
     gram = as_samples(gram)
     if gram.shape != (grid.size, grid.size):
         raise ValueError(f"gram must be {grid.size}x{grid.size}, got {gram.shape}")
@@ -118,8 +115,18 @@ def kernel_from_gram(gram: np.ndarray, grid: Grid) -> KernelMatrix:
         # halving each side first cannot overflow, and is exact in normal range
         sym = 0.5 * gram + 0.5 * adjoint
     if np.iscomplexobj(sym) and not np.any(sym.imag):
-        sym = sym.real
-    return KernelMatrix(grid=grid, gram=sym, hermitian_defect=defect)
+        # a copy, so the kernel does not pin the complex buffer behind a strided view
+        sym = np.ascontiguousarray(sym.real)
+    return sym, defect
+
+
+def kernel_from_gram(gram: np.ndarray, grid: Grid) -> KernelMatrix:
+    """Wrap a raw matrix of kernel values: validate, symmetrize, record defect.
+
+    An exactly Hermitian input is stored as a copy with defect 0, and a
+    complex one with zero imaginary parts as a float64 array of its own.
+    """
+    return KernelMatrix(grid, *_hermitian_gram(gram, grid))
 
 
 def assemble_kernel(kfun: Callable, grid: Grid) -> KernelMatrix:
@@ -140,6 +147,13 @@ def discrete_delta_kernel(grid: Grid) -> KernelMatrix:
     with ``sum_j gram[i, j] w_j f_j = f_i``.
     """
     return kernel_from_gram(np.diag(1.0 / grid.weights), grid)
+
+
+#: the parameters each built-in kernel takes
+BUILTIN_KERNEL_PARAMS = {
+    "brownian": (), "gaussian": ("lengthscale",), "sinc": ("band",), "constant": ("value",)
+}
+BUILTIN_KERNEL_NAMES = tuple(BUILTIN_KERNEL_PARAMS)
 
 
 def builtin_kernel(name: str, **params) -> Callable:
@@ -165,9 +179,6 @@ def builtin_kernel(name: str, **params) -> Callable:
         value = float(params.get("value", 1.0))
         return lambda p, q: np.full(np.broadcast_shapes(np.shape(p), np.shape(q)), value)
     raise ValueError(f"unknown built-in kernel {name!r}")
-
-
-BUILTIN_KERNEL_NAMES = ("brownian", "gaussian", "sinc", "constant")
 
 
 def spectral_data(K: KernelMatrix, cutoff_rel: float = DEFAULT_CUTOFF_REL) -> SpectralData:

@@ -7,8 +7,9 @@ A feature map ``h(t, p)`` over grids T and E induces the transform
 these are the matrices ``Hᴴ diag(m)``, ``H diag(w)`` and ``Hᴴ diag(m) H``,
 and the operator identities (factorization, isometry, round-trip inversion)
 become finite-dimensional residuals that this module measures.  Since
-``K = L L*``, the injectivity rank and every solve read one spectrum, the
-induced kernel's cached ``eigh``, at one cutoff.
+``K = L L*``, the ``InducedKernel`` that ``build_transform`` returns is the
+transform: every function here takes it, and its rank and solves read its one
+cached ``eigh`` at one cutoff.  Forward and adjoint are formed per call.
 
 With ``B = diag(m)^{1/2} H diag(w)^{1/2}`` (|T| x |E|), the weighted induced
 form is ``S = Bᴴ B``.  When |T| < |E| that spectrum is read from the |T| side:
@@ -31,9 +32,9 @@ from .kernel import (
     DEFAULT_CUTOFF_REL,
     DEFAULT_RANGE_TOL,
     KernelMatrix,
+    _hermitian_gram,
     _solve_columns,
     condition_number,
-    kernel_from_gram,
     solve_kernel_system,
     spectral_data,
 )
@@ -59,13 +60,21 @@ class FeatureMap:
 
 @dataclass
 class InducedKernel(KernelMatrix):
-    """The kernel ``Hᴴ diag(m) H`` a feature map induces on grid E.
+    """The kernel ``Hᴴ diag(m) H`` a feature map induces on grid E, and its transform.
 
     It refers to its feature map, which it does not copy, so a wide map
     (|T| < |E|) decomposes its |T| x |T| side; see the module docstring.
     """
 
     feature: FeatureMap
+
+    @property
+    def grid_T(self) -> Grid:
+        return self.feature.grid_T
+
+    @property
+    def grid_E(self) -> Grid:
+        return self.grid
 
     @cached_property
     def weighted_eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -83,25 +92,6 @@ class InducedKernel(KernelMatrix):
         # the structural zeros sort in after the positive eigenvalues
         lam = np.insert(lam, np.count_nonzero(lam > 0), np.zeros(n_dim - m_dim))
         return lam, Q @ V[:, order]
-
-
-@dataclass
-class TransformOperator:
-    """A feature matrix and its induced kernel; forward and adjoint are formed per use.
-
-    The only decomposition is the ``eigh`` the induced kernel caches on first use.
-    """
-
-    feature: FeatureMap
-    induced: InducedKernel
-
-    @property
-    def grid_T(self) -> Grid:
-        return self.feature.grid_T
-
-    @property
-    def grid_E(self) -> Grid:
-        return self.feature.grid_E
 
 
 @dataclass(frozen=True)
@@ -155,30 +145,26 @@ def _adjoint(feature: FeatureMap) -> np.ndarray:
     return feature.matrix * feature.grid_E.weights[None, :]
 
 
-def build_transform(feature: FeatureMap) -> TransformOperator:
-    """Wrap a feature map with its induced kernel ``Hᴴ diag(m) H``."""
-    kernel = kernel_from_gram(_forward(feature) @ feature.matrix, feature.grid_E)
-    induced = InducedKernel(
-        grid=kernel.grid, gram=kernel.gram, hermitian_defect=kernel.hermitian_defect,
-        feature=feature,
-    )
-    return TransformOperator(feature=feature, induced=induced)
+def build_transform(feature: FeatureMap) -> InducedKernel:
+    """The kernel ``Hᴴ diag(m) H`` a feature map induces; it holds the map itself."""
+    gram, defect = _hermitian_gram(_forward(feature) @ feature.matrix, feature.grid_E)
+    return InducedKernel(grid=feature.grid_E, gram=gram, hermitian_defect=defect, feature=feature)
 
 
-def apply_forward(op: TransformOperator, F: DiscreteFunction) -> DiscreteFunction:
+def apply_forward(op: InducedKernel, F: DiscreteFunction) -> DiscreteFunction:
     """Apply the transform to a function on grid T, yielding one on grid E."""
     ensure_aligned(F, op.grid_T)
     return DiscreteFunction(values=_forward(op.feature) @ F.values, grid=op.grid_E)
 
 
-def apply_adjoint(op: TransformOperator, g: DiscreteFunction) -> DiscreteFunction:
+def apply_adjoint(op: InducedKernel, g: DiscreteFunction) -> DiscreteFunction:
     """Apply the weighted-L2 adjoint to a function on grid E."""
     ensure_aligned(g, op.grid_E)
     return DiscreteFunction(values=_adjoint(op.feature) @ g.values, grid=op.grid_T)
 
 
 def check_injectivity(
-    op: TransformOperator, cutoff_rel: float = DEFAULT_CUTOFF_REL
+    op: InducedKernel, cutoff_rel: float = DEFAULT_CUTOFF_REL
 ) -> InjectivityReport:
     """Numerical rank of the transform in orthonormal coordinates.
 
@@ -188,7 +174,7 @@ def check_injectivity(
     eigenvalues above ``cutoff_rel * lambda_max`` (``sigma > sqrt(cutoff_rel)
     sigma_max``) in the cached ``eigh`` the solves use.
     """
-    rank = spectral_data(op.induced, cutoff_rel).numerical_rank
+    rank = spectral_data(op, cutoff_rel).numerical_rank
     m_dim = op.grid_T.size
     return InjectivityReport(
         injective=rank == m_dim, numerical_rank=rank, deficiency=m_dim - rank
@@ -201,7 +187,7 @@ def _column_norms(weights: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def verify_identities(
-    op: TransformOperator,
+    op: InducedKernel,
     cutoff_rel: float = DEFAULT_CUTOFF_REL,
     trials: int = 100,
     seed: int = 0,
@@ -224,7 +210,7 @@ def verify_identities(
     forward = _forward(op.feature)
     adjoint = _adjoint(op.feature)
     # factorization: induced operator == forward @ adjoint; the gap is formed in place
-    lhs = op.induced.gram * w[None, :]
+    lhs = op.gram * w[None, :]
     rhs = forward @ adjoint
     lhs_norm = float(np.linalg.norm(lhs))
     rhs -= lhs
@@ -235,7 +221,7 @@ def verify_identities(
     G = random_samples(rng, op.grid_T.size, trials, complex_mode)
     f_img = forward @ F
     g_img = forward @ G
-    x, _ = _solve_columns(op.induced, f_img, cutoff_rel)
+    x, _ = _solve_columns(op, f_img, cutoff_rel)
 
     f_norms = _column_norms(m, F)
     g_norms = _column_norms(m, G)
@@ -269,7 +255,7 @@ def verify_identities(
         adjointness_defect=adjointness,
         injective=inj.injective,
         numerical_rank=inj.numerical_rank,
-        condition_number=condition_number(op.induced, cutoff_rel),
+        condition_number=condition_number(op, cutoff_rel),
         trials=trials,
         seed=seed,
         cutoff_rel=cutoff_rel,
@@ -277,7 +263,7 @@ def verify_identities(
 
 
 def invert(
-    op: TransformOperator,
+    op: InducedKernel,
     f: DiscreteFunction,
     cutoff_rel: float = DEFAULT_CUTOFF_REL,
     range_tol: float | None = DEFAULT_RANGE_TOL,
@@ -295,7 +281,7 @@ def invert(
     inj = check_injectivity(op, cutoff_rel)
     if not inj.injective:
         raise NotInjectiveError(inj.numerical_rank, op.grid_T.size)
-    solved = solve_kernel_system(op.induced, f, cutoff_rel, range_tol=None)
+    solved = solve_kernel_system(op, f, cutoff_rel, range_tol=None)
     recovered = apply_adjoint(op, solved.solution)
     f_norm = norm_l2(f)
     if f_norm == 0.0:

@@ -133,7 +133,7 @@ def test_criterion_05_inversion(indicator_op, fourier_op, rank_one_op):
 
 
 def test_criterion_06_weighted_l2_verdicts(indicator_op, fourier_op, orthonormal_op):
-    diag = rl.check_weighted_l2(orthonormal_op.induced)
+    diag = rl.check_weighted_l2(orthonormal_op)
     diag_ok = (
         diag.is_weighted_l2
         and diag.offdiag_ratio <= 1e-10
@@ -141,7 +141,7 @@ def test_criterion_06_weighted_l2_verdicts(indicator_op, fourier_op, orthonormal
     )
     dense_ratios = []
     for op in (indicator_op, fourier_op):
-        verdict = rl.check_weighted_l2(op.induced)
+        verdict = rl.check_weighted_l2(op)
         dense_ratios.append(verdict.offdiag_ratio)
         diag_ok = diag_ok and not verdict.is_weighted_l2
     dense_ok = all(r >= 1e-2 for r in dense_ratios)

@@ -32,7 +32,7 @@ class TestCheckWeightedL2:
 
     def test_orthonormal_family_recovers_construction_weight(self, weighted_orthonormal_op):
         spec, op = weighted_orthonormal_op
-        verdict = rl.check_weighted_l2(op.induced)
+        verdict = rl.check_weighted_l2(op)
         assert verdict.is_weighted_l2
         expected_v = 2.0 + np.sin(3 * op.grid_E.points)
         assert np.max(np.abs(verdict.weight_v.values - expected_v)) <= 1e-8
@@ -101,9 +101,9 @@ class TestEquivalence:
     def test_weighted_inner_product_formula(self, weighted_orthonormal_op):
         # in the diagonal case the space inner product is a weighted L2 product
         spec, op = weighted_orthonormal_op
-        verdict = rl.check_weighted_l2(op.induced)
+        verdict = rl.check_weighted_l2(op)
         assert verdict.is_weighted_l2
-        space = rl.make_rkhs_space(op.induced)
+        space = rl.make_rkhs_space(op)
         grid = op.grid_E
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -119,7 +119,7 @@ class TestEquivalence:
         base = rl.make_feature_map(spec, grid, grid)
         c = 3.0
         scaled = rl.FeatureMap(grid_T=grid, grid_E=grid, matrix=c * base.matrix)
-        v_base = rl.check_weighted_l2(rl.build_transform(base).induced).weight_v.values
-        verdict = rl.check_weighted_l2(rl.build_transform(scaled).induced)
+        v_base = rl.check_weighted_l2(rl.build_transform(base)).weight_v.values
+        verdict = rl.check_weighted_l2(rl.build_transform(scaled))
         np.testing.assert_allclose(verdict.weight_v.values, c**2 * v_base, rtol=1e-12)
         np.testing.assert_allclose(verdict.weight_w.values, v_base / c**2, rtol=1e-12)

@@ -71,8 +71,8 @@ class TestConfigParsing:
         del doc["grids"]["T"]
         config = parse_config(doc)
         built = build_objects(config)
-        assert built.grid_T.size == built.grid_E.size
-        assert built.grid_T.interval == built.grid_E.interval
+        assert built.kernel.grid_T.size == built.kernel.grid_E.size
+        assert built.kernel.grid_T.interval == built.kernel.grid_E.interval
 
     def test_density_whitelist(self):
         doc = indicator_config()
@@ -86,7 +86,7 @@ class TestConfigParsing:
         config = parse_config(doc)
         built = build_objects(config)
         # total mass is integral of 1 + t over [0, 1] = 1.5
-        assert built.grid_E.weights.sum() == pytest.approx(1.5, abs=1e-6)
+        assert built.kernel.grid_E.weights.sum() == pytest.approx(1.5, abs=1e-6)
 
 
 def _with(doc, path, value):
@@ -127,11 +127,113 @@ MALFORMED_SHAPES = {
 }
 
 
+def _family(family, params=None, **fields):
+    source = {"family": family, **fields}
+    if params is not None:
+        source["params"] = params
+    return _with(indicator_config(), ("source", "feature_family"), source)
+
+
+def _density(params):
+    density = {"name": "linear", "params": params}
+    return _with(indicator_config(), ("grids", "E", "density"), density)
+
+
+#: a non-number where the config needs a number, or a misspelled key, and the error it gives
+BAD_FIELDS = {
+    "tolerance-null": (
+        _with(indicator_config(), ("tolerances",), {"cutoff_rel": None}),
+        "tolerances.cutoff_rel must be a number",
+    ),
+    "interval-null": (
+        _with(indicator_config(), ("grids", "E", "interval"), [None, 1]),
+        "grids.E.interval must be a pair of numbers",
+    ),
+    "interval-bool": (
+        _with(indicator_config(), ("grids", "E", "interval"), [False, 1]),
+        "grids.E.interval must be a pair of numbers",
+    ),
+    "lengthscale-null": (
+        kernel_config("gaussian", params={"lengthscale": None}),
+        "source.kernel.params.lengthscale must be a number",
+    ),
+    "lengthscale-list": (
+        kernel_config("gaussian", params={"lengthscale": [1]}),
+        "source.kernel.params.lengthscale must be a number",
+    ),
+    "lengthscale-bool": (
+        kernel_config("gaussian", params={"lengthscale": True}),
+        "source.kernel.params.lengthscale must be a number",
+    ),
+    "sigma-string": (
+        _family("gaussian", {"sigma": "x"}),
+        "source.feature_family.params.sigma must be a number",
+    ),
+    "slope-null": (
+        _density({"intercept": 1.0, "slope": None}),
+        "grids.E.density.params.slope must be a number",
+    ),
+    "weight-slope-null": (
+        _family("orthonormal_diagonal", weight={"name": "linear", "params": {"slope": None}}),
+        "source.feature_family.weight.params.slope must be a number",
+    ),
+    "kernel-params-key": (
+        kernel_config("gaussian", params={"lenghtscale": 0.01}),
+        "source.kernel.params has unknown fields: ['lenghtscale']",
+    ),
+    "kernel-params-other-kernel": (
+        kernel_config("brownian", params={"lengthscale": 0.01}),
+        "source.kernel.params has unknown fields: ['lengthscale']",
+    ),
+    "kernel-key": (
+        _with(kernel_config("gaussian"), ("source", "kernel", "parms"), {"lengthscale": 0.01}),
+        "source.kernel has unknown fields: ['parms']",
+    ),
+    "family-key": (
+        _family("gaussian", {"sigma": 0.1}, wieght=None),
+        "source.feature_family has unknown fields: ['wieght']",
+    ),
+    "family-params-key": (
+        _family("gaussian", {"sigma": 0.1, "sgima": 0.2}),
+        "source.feature_family.params has unknown fields: ['sgima']",
+    ),
+    "density-key": (
+        _with(indicator_config(), ("grids", "E", "density"), {"name": "linear", "parms": {}}),
+        "grids.E.density has unknown fields: ['parms']",
+    ),
+    "density-params-key": (
+        _density({"intercept": 1.0, "slop": 2.0}),
+        "grids.E.density.params has unknown fields: ['slop']",
+    ),
+    "weight-params-key": (
+        _family("orthonormal_diagonal", weight={"name": "linear", "params": {"intercep": 1.0}}),
+        "source.feature_family.weight.params has unknown fields: ['intercep']",
+    ),
+}
+MALFORMED_SHAPES.update((key, doc) for key, (doc, _) in BAD_FIELDS.items())
+
+
 @pytest.mark.parametrize("doc", MALFORMED_SHAPES.values(), ids=MALFORMED_SHAPES.keys())
 def test_malformed_shape_is_config_error(tmp_path, capsys, doc):
     code = main(["verify", "--config", str(write_config(tmp_path, doc))])
     assert code == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, message", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+def test_config_error_names_the_field(tmp_path, capsys, doc, message):
+    assert main(["analyze", "--config", str(write_config(tmp_path, doc))]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_misspelled_csv_key_is_config_error(tmp_path, capsys):
+    grid = rl.make_uniform_grid(0.0, 1.0, 40, "trapezoid")
+    path = tmp_path / "kernel.csv"
+    save_matrix_csv(rl.assemble_kernel(rl.builtin_kernel("brownian"), grid).gram, path, "real")
+    source = {"csv": {"path": str(path), "mdoe": "real"}}
+    doc = _with(kernel_config("brownian"), ("source",), source)
+    assert main(["analyze", "--config", str(write_config(tmp_path, doc))]) == 2
+    assert "source.csv has unknown fields: ['mdoe']" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -262,11 +364,11 @@ class TestInvertCommand:
         built = build_objects(load_config(cfg))
         if fn is None:
             rng = np.random.default_rng(seed)
-            F0 = rl.DiscreteFunction(rng.standard_normal(built.grid_T.size), built.grid_T)
-            data = rl.apply_forward(built.operator, F0)
+            F0 = rl.DiscreteFunction(rng.standard_normal(built.kernel.grid_T.size), built.kernel.grid_T)
+            data = rl.apply_forward(built.kernel, F0)
         else:
             F0 = None
-            data = rl.sample_function(built.grid_E, fn)
+            data = rl.sample_function(built.kernel.grid_E, fn)
         data_path = tmp_path / "data.csv"
         save_function_csv(data, data_path)
         return cfg, data_path, built, F0

@@ -112,9 +112,9 @@ def batched_solves(monkeypatch):
 def write_invert_data(tmp_path, config, seed=11):
     built = build_objects(config)
     rng = np.random.default_rng(seed)
-    source = rl.DiscreteFunction(rng.standard_normal(built.grid_T.size), built.grid_T)
+    source = rl.DiscreteFunction(rng.standard_normal(built.kernel.grid_T.size), built.kernel.grid_T)
     data_path = tmp_path / "data.csv"
-    save_function_csv(rl.apply_forward(built.operator, source), data_path)
+    save_function_csv(rl.apply_forward(built.kernel, source), data_path)
     return data_path
 
 

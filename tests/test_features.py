@@ -40,7 +40,7 @@ class TestClosedForms:
     def test_fourier_diagonal_is_band_over_pi(self):
         spec, fm = family_fixture("fourier", 150)
         op = rl.build_transform(fm)
-        diag = np.real(np.diag(op.induced.gram))
+        diag = np.real(np.diag(op.gram))
         assert np.max(np.abs(diag - 1.0)) <= 1e-6  # band/pi = 1 at band = pi
 
     def test_gaussian_matches_closed_form(self):
@@ -51,7 +51,7 @@ class TestClosedForms:
     def test_orthonormal_offdiagonal_mass_tiny(self):
         spec, fm = family_fixture("orthonormal_diagonal", 120)
         op = rl.build_transform(fm)
-        B = op.induced.gram * op.grid_E.weights[None, :]
+        B = op.gram * op.grid_E.weights[None, :]
         off = B - np.diag(np.diag(B))
         assert np.linalg.norm(off) / np.linalg.norm(B) <= 1e-10
 
@@ -77,7 +77,7 @@ class TestCardinalSinc:
         grid_T = rl.make_uniform_grid(-math.pi, math.pi, 64, "trapezoid")
         spec = rl.FeatureFamily("fourier", band=math.pi)
         op = rl.build_transform(rl.make_feature_map(spec, grid_T, grid_E))
-        space = rl.make_rkhs_space(op.induced)
+        space = rl.make_rkhs_space(op)
         f = rl.sample_function(grid_E, lambda p: np.sin(0.8 * p) + np.cos(2.0 * p))
         res = rl.reproducing_residuals(space, f)
         assert res.max() <= 1e-6
@@ -91,7 +91,7 @@ class TestOrthonormalDiagonal:
         for weight in (lambda p: 1.0 + p**2, lambda p: float(1.0 + p**2)):
             spec = rl.FeatureFamily("orthonormal_diagonal", weight=weight)
             feature = rl.make_feature_map(spec, grid, grid)
-            B = rl.build_transform(feature).induced.gram * grid.weights[None, :]
+            B = rl.build_transform(feature).gram * grid.weights[None, :]
             np.testing.assert_allclose(np.diag(B), 1.0 + grid.points**2, atol=1e-12)
             matrices.append(feature.matrix)
         np.testing.assert_array_equal(matrices[0], matrices[1])
@@ -161,7 +161,7 @@ class TestFamilyRegimes:
     def test_indicator_reproducing_through_induced_kernel(self):
         spec, fm = family_fixture("indicator", 150)
         op = rl.build_transform(fm)
-        space = rl.make_rkhs_space(op.induced)
+        space = rl.make_rkhs_space(op)
         rng = np.random.default_rng(10)
-        f = random_range_function(op.induced, rng)
+        f = random_range_function(op, rng)
         assert rl.reproducing_residuals(space, f).max() <= 1e-8

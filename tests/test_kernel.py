@@ -82,6 +82,14 @@ class TestKernelFromGram:
         assert K.gram[0, 1] == pytest.approx(1.5e308 * (1 + 0.5e-9), rel=1e-15)
         assert np.isfinite(rl.validate_psd(K, 1e-10).min_eigenvalue)
 
+    def test_real_valued_complex_input_stored_as_own_float_array(self, grid01):
+        # a strided view of the real parts would keep the complex buffer alive
+        p = grid01.points
+        K = rl.kernel_from_gram(np.minimum(p[:, None], p[None, :]).astype(complex), grid01)
+        assert K.gram.dtype == np.float64
+        assert K.gram.flags.c_contiguous
+        assert K.gram.base is None
+
 
 class TestValidatePsd:
     def test_delta_kernel_passes(self, grid01):

@@ -49,14 +49,14 @@ def duplicate_feature_op(small_grids):
 
 class TestBuildTransform:
     def test_rank_one_induces_all_ones(self, rank_one_op):
-        np.testing.assert_allclose(rank_one_op.induced.gram, 1.0, atol=1e-15)
-        spec = rl.spectral_data(rank_one_op.induced, 1e-12)
+        np.testing.assert_allclose(rank_one_op.gram, 1.0, atol=1e-15)
+        spec = rl.spectral_data(rank_one_op, 1e-12)
         assert spec.numerical_rank == 1
 
     def test_indicator_induces_min_kernel(self, indicator_op):
         p = indicator_op.grid_E.points
         expected = np.minimum(p[:, None], p[None, :])
-        assert np.max(np.abs(indicator_op.induced.gram - expected)) <= 5e-3
+        assert np.max(np.abs(indicator_op.gram - expected)) <= 5e-3
 
     def test_shapes(self, small_grids):
         grid_T, grid_E = small_grids
@@ -70,7 +70,7 @@ class TestBuildTransform:
         adjoint = rl.apply_adjoint(op, g)
         assert forward.grid is grid_E and forward.values.shape == (40,)
         assert adjoint.grid is grid_T and adjoint.values.shape == (30,)
-        assert op.induced.gram.shape == (40, 40)
+        assert op.gram.shape == (40, 40)
 
     def test_operator_holds_feature_matrix_once(self, small_grids):
         # the only matrices on an operator are H, the induced gram and the
@@ -80,11 +80,11 @@ class TestBuildTransform:
         fm = rl.FeatureMap(grid_T=grid_T, grid_E=grid_E,
                            matrix=rng.standard_normal((30, 40)))
         op = rl.build_transform(fm)
-        assert set(vars(op)) == {"feature", "induced"}
+        assert set(vars(op)) == {"grid", "gram", "hermitian_defect", "feature"}
         rl.verify_identities(op, trials=5)
-        assert set(vars(op)) == {"feature", "induced"}
-        allowed = {id(fm.matrix), id(op.induced.gram)}
-        allowed.update(id(a) for a in op.induced.weighted_eigh)
+        assert set(vars(op)) == {"grid", "gram", "hermitian_defect", "feature", "weighted_eigh"}
+        allowed = {id(fm.matrix), id(op.gram)}
+        allowed.update(id(a) for a in op.weighted_eigh)
 
         def arrays(obj):
             if isinstance(obj, np.ndarray):
@@ -104,7 +104,7 @@ class TestBuildTransform:
         H = rng.standard_normal((30, 40)) + 1j * rng.standard_normal((30, 40))
         op = rl.build_transform(rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H))
         expected = H.conj().T @ (grid_T.weights[:, None] * H)
-        rel = np.linalg.norm(op.induced.gram - expected) / np.linalg.norm(expected)
+        rel = np.linalg.norm(op.gram - expected) / np.linalg.norm(expected)
         assert rel < 1e-12
 
     def test_induced_kernel_is_psd(self, small_grids):
@@ -113,8 +113,8 @@ class TestBuildTransform:
         rng = np.random.default_rng(2)
         H = rng.standard_normal((30, 40))
         op = rl.build_transform(rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H))
-        lam_max = rl.spectral_data(op.induced, 1e-12).eigenvalues[0]
-        assert rl.validate_psd(op.induced, 1e-10 * lam_max).passed
+        lam_max = rl.spectral_data(op, 1e-12).eigenvalues[0]
+        assert rl.validate_psd(op, 1e-10 * lam_max).passed
 
     def test_non_finite_feature_rejected(self, small_grids):
         grid_T, grid_E = small_grids
@@ -343,7 +343,7 @@ class TestWideSpectrum:
     def test_eigenvalues_match_dense_form(self, wide_op):
         B = _weighted_factor(wide_op)
         dense = np.linalg.eigvalsh(B.conj().T @ B)[::-1]
-        spec = rl.spectral_data(wide_op.induced, 1e-12)
+        spec = rl.spectral_data(wide_op, 1e-12)
         lam = spec.eigenvalues
         assert lam.shape == (40,) and np.all(np.diff(lam) <= 0)
         assert spec.eigenvectors.shape == (40, 30)
@@ -355,7 +355,7 @@ class TestWideSpectrum:
     def test_eigenvectors_orthonormal_and_rebuild_form(self, wide_op):
         B = _weighted_factor(wide_op)
         S = B.conj().T @ B
-        spec = rl.spectral_data(wide_op.induced, 1e-12)
+        spec = rl.spectral_data(wide_op, 1e-12)
         U = spec.eigenvectors
         assert np.max(np.abs(U.conj().T @ U - np.eye(30))) <= 1e-12
         kept = U[:, : spec.numerical_rank]
@@ -379,7 +379,7 @@ class TestWideSpectrum:
         coef = np.linalg.lstsq(B.conj().T, y, rcond=None)[0]
         expected = np.linalg.norm(y - B.conj().T @ coef) / np.linalg.norm(y)
         assert expected > 1e-3
-        K = wide_op.induced
+        K = wide_op
         got = rl.solve_kernel_system(K, f, range_tol=None).range_residual
         assert abs(got - expected) <= 1e-12
         with pytest.raises(rl.RangeViolationError) as err:
