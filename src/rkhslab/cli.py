@@ -64,6 +64,17 @@ def _conditioning_block(kernel, cutoff_rel):
     }, cond
 
 
+def _diagnostics_block(kernel):
+    """Which route decomposed the weighted form, and the error it certifies."""
+    eig = kernel.weighted_eigh
+    return {
+        "decomposition": eig.decomposition,
+        "certified_error": eig.certified_error,
+        # a Weyl bound, not a computed eigenvalue, on the low-rank route
+        "min_eigenvalue_is_bound": eig.decomposition == "low_rank",
+    }
+
+
 def _weighted_block(weighted, tol_diag):
     return {
         "is_weighted_l2": weighted.is_weighted_l2,
@@ -223,6 +234,7 @@ def run_verify(config: RunConfig):
             "tolerance": config.tol_psd,
         },
         "conditioning": conditioning,
+        "diagnostics": _diagnostics_block(kernel),
         "identities": identities,
         "injectivity": injectivity_block,
         "weighted_l2": _weighted_block(weighted, config.tol_diag),
@@ -258,6 +270,7 @@ def run_invert(config: RunConfig, data_path, out_path):
     }
     inj = check_injectivity(op, config.cutoff_rel)
     report["injectivity"] = dataclasses.asdict(inj)
+    report["diagnostics"] = _diagnostics_block(op)
     if not inj.injective:
         report["error"] = "transform is not injective"
         report["timings"] = {"total_s": time.perf_counter() - started}

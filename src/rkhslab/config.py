@@ -230,13 +230,16 @@ def _parse_source(raw) -> tuple[str, dict]:
         known = BUILTIN_KERNEL_PARAMS[params["name"]]
         _check_params(params.get("params", {}), known, "source.kernel.params")
     elif kind == "feature_family":
-        _check_known(params, ("family", "params", "weight"), "source.feature_family")
         _require("family" in params, "source.feature_family.family is required")
         _require(
             params["family"] in FAMILY_NAMES,
             f"source.feature_family.family must be one of {FAMILY_NAMES}",
         )
-        _check_params(params.get("params", {}), FAMILY_PARAMS, "source.feature_family.params")
+        known = FAMILY_PARAMS[params["family"]]
+        fields = ("family", "params", "weight") if "weight" in known else ("family", "params")
+        _check_known(params, fields, "source.feature_family")
+        numeric = [key for key in known if key != "weight"]
+        _check_params(params.get("params", {}), numeric, "source.feature_family.params")
         if params.get("weight") is not None:
             _parse_density(params["weight"], "source.feature_family.weight")
     else:

@@ -24,10 +24,15 @@ from .grid import Grid, evaluate
 from .kernel import builtin_kernel
 from .transform import FeatureMap, InducedKernel
 
-FAMILY_NAMES = ("fourier", "indicator", "gaussian", "orthonormal_diagonal")
-
-#: the numeric parameters a ``FeatureFamily`` takes besides its name and weight
-FAMILY_PARAMS = ("band", "sigma", "modes")
+#: the fields each family reads besides its name: numeric ``params`` keys, and
+#: ``weight`` for the one family that takes a target diagonal
+FAMILY_PARAMS = {
+    "fourier": ("band", "modes"),
+    "indicator": ("modes",),
+    "gaussian": ("sigma", "modes"),
+    "orthonormal_diagonal": ("modes", "weight"),
+}
+FAMILY_NAMES = tuple(FAMILY_PARAMS)
 
 #: how much slack interval endpoints get in compatibility checks
 _ENDPOINT_RTOL = 1e-9
@@ -39,7 +44,8 @@ class FeatureFamily:
 
     band: half-width of the symmetric T interval (fourier).
     sigma: feature width (gaussian).
-    modes: required size of grid T (orthonormal_diagonal); optional.
+    modes: size of the default grid T, and the required size of grid T for
+        orthonormal_diagonal; optional.
     weight: target diagonal of the induced operator for orthonormal_diagonal,
         as a callable of the E points or an array; defaults to 1.
     """

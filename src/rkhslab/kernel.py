@@ -5,11 +5,24 @@ matrix ``gram @ diag(w)`` acting on sample vectors, where ``gram`` holds the
 kernel values at grid points and ``w`` the quadrature weights.  All solves go
 through the eigendecomposition of the symmetrized form
 ``S = sqrt(W) gram sqrt(W)``, with a relative eigenvalue cutoff standing in
-for restriction to the operator range.  A ``KernelMatrix`` decomposes the
-n x n form itself; the kernel a wide transform induces
-(``transform.InducedKernel``) reads the same spectrum from its smaller
-feature side, so its eigenvector matrix has fewer columns than rows and its
-remaining eigenvalues are structural zeros.
+for restriction to the operator range.
+
+That eigendecomposition takes one of three routes, each with one ``eigh``:
+
+* ``wide``: the kernel a wide transform induces (``transform.InducedKernel``)
+  reads the spectrum from its smaller feature side, an exact factor
+  ``S = F Fᴴ`` with fewer columns than rows.
+* ``low_rank``: at n >= ``LOW_RANK_MIN_SIZE`` a pivoted Cholesky
+  ``S ≈ L Lᴴ`` is tried first (Harbrecht, Peters & Schneider 2012).  It is
+  used when it needs at most n / 8 pivots, all positive, and its error
+  ``err = ||S - L Lᴴ||_F`` is at most ``n * eps * lambda_max`` (``eps`` the
+  machine epsilon), the backward error of the dense ``eigh`` it replaces.
+  By Weyl's inequality ``lambda_min(S) >= -err``, and the last eigenvalue
+  slot carries that bound.
+* ``dense``: otherwise the n x n form is decomposed itself.
+
+A factor route yields eigenvectors with fewer columns than rows, and its
+remaining eigenvalues are zeros.
 """
 from __future__ import annotations
 
@@ -32,6 +45,99 @@ DEFAULT_CUTOFF_REL = 1e-12
 #: default relative residual above which a solve reports a range violation
 DEFAULT_RANGE_TOL = 1e-6
 
+#: smallest form size at which the low-rank route is tried before the dense ``eigh``
+LOW_RANK_MIN_SIZE = 512
+
+#: the pivoted Cholesky stops once every residual diagonal is at most this times the largest diagonal
+PIVOT_STOP_REL = 1e-14
+
+
+@dataclass(frozen=True)
+class WeightedEigh:
+    """Eigenpairs of the weighted form, descending, and how they were computed.
+
+    ``decomposition`` names the route: ``"dense"``, ``"wide"`` or
+    ``"low_rank"``.  ``certified_error`` is ``||S - L Lᴴ||_F`` of the
+    low-rank factor, and 0 on the exact routes.  It unpacks as the pair
+    ``(eigenvalues, eigenvectors)``.
+    """
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    decomposition: str
+    certified_error: float
+
+    def __iter__(self):
+        return iter((self.eigenvalues, self.eigenvectors))
+
+
+def _factor_eigh(factor: np.ndarray, decomposition: str, error: float = 0.0) -> WeightedEigh:
+    """Eigenpairs of ``F Fᴴ`` from its n x r factor F (r < n), standing in for ``S``.
+
+    ``error`` is ``||S - F Fᴴ||_F``, 0 for an exact factor.  A thin QR
+    ``F = Q R`` gives ``F Fᴴ = Q (R Rᴴ) Qᴴ``, so one r x r ``eigh`` of
+    ``R Rᴴ = V Λ Vᴴ`` yields the r leading eigenvalues and the eigenvectors
+    ``Q V``; the other n - r eigenvalues are zeros, sorted in after the
+    positive ones.  The last one is lowered by ``error``: by Weyl's
+    inequality ``lambda_min(S) >= lambda_min(F Fᴴ) - error``.
+    """
+    n_dim, r_dim = factor.shape
+    Q, R = np.linalg.qr(factor)
+    lam, V = np.linalg.eigh(R @ R.conj().T)
+    order = np.arange(r_dim - 1, -1, -1)
+    lam = lam[order]
+    lam = np.insert(lam, np.count_nonzero(lam > 0), np.zeros(n_dim - r_dim))
+    lam[-1] -= error
+    return WeightedEigh(lam, Q @ V[:, order], decomposition, error)
+
+
+def _pivoted_cholesky(S: np.ndarray, max_rank: int) -> np.ndarray | None:
+    """Factor ``L`` (n x r) with ``S ≈ L Lᴴ``, pivoting on the largest residual diagonal.
+
+    Stops once every residual diagonal is at most ``PIVOT_STOP_REL`` times
+    the largest diagonal of ``S``, so every pivot is positive.  Returns None
+    when no diagonal is positive or more than ``max_rank`` pivots are needed.
+    """
+    d = np.diag(S).real.copy()
+    top = float(d.max())
+    if not top > 0:
+        return None
+    stop = PIVOT_STOP_REL * top
+    # the rows of Lᴴ, each written whole
+    Lh = np.empty((max_rank, S.shape[0]), dtype=S.dtype)
+    for k in range(max_rank + 1):
+        j = int(np.argmax(d))
+        if d[j] <= stop:
+            return Lh[:k].conj().T
+        if k == max_rank:
+            break
+        # row j of S = Lhᴴ Lh, contiguous, since S is Hermitian
+        row = S[j] - Lh[:k, j].conj() @ Lh[:k]
+        row /= math.sqrt(d[j])
+        Lh[k] = row
+        d -= np.abs(row) ** 2
+        d[j] = 0.0
+    return None
+
+
+def _low_rank_eigh(S: np.ndarray) -> WeightedEigh | None:
+    """The ``low_rank`` route for ``S``, or None when one of its conditions fails."""
+    n_dim = S.shape[0]
+    if n_dim < LOW_RANK_MIN_SIZE:
+        return None
+    L = _pivoted_cholesky(S, n_dim // 8)
+    if L is None:
+        return None
+    gap = L @ L.conj().T
+    gap -= S
+    error = float(np.linalg.norm(gap))
+    del gap
+    # the largest column norm of Lᴴ L bounds lambda_max(L Lᴴ) from below
+    lam_floor = float(np.max(np.linalg.norm(L.conj().T @ L, axis=0)))
+    if not error <= n_dim * np.finfo(float).eps * lam_floor:
+        return None
+    return _factor_eigh(L, "low_rank", error)
+
 
 @dataclass
 class KernelMatrix:
@@ -50,17 +156,24 @@ class KernelMatrix:
         return self.grid.size
 
     @cached_property
-    def weighted_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs of ``S = sqrt(W) gram sqrt(W)``, descending; computed once, on first use."""
+    def weighted_eigh(self) -> WeightedEigh:
+        """Eigenpairs of ``S = sqrt(W) gram sqrt(W)``, descending; computed once, on first use.
+
+        The ``low_rank`` route is tried first and the dense ``eigh`` runs
+        when it does not apply; see the module docstring.
+        """
         sw = np.sqrt(self.grid.weights)
         S = sw[:, None] * self.gram * sw[None, :]
         # halving first cannot overflow; the overlapping transpose is read before S is written
         S *= 0.5
         S += S.conj().T
+        low_rank = _low_rank_eigh(S)
+        if low_rank is not None:
+            return low_rank
         lam, U = np.linalg.eigh(S)
         # a fancy index keeps U Fortran-ordered; the solves' last digits depend on it
         order = np.arange(lam.size - 1, -1, -1)
-        return lam[order], U[:, order]
+        return WeightedEigh(lam[order], U[:, order], "dense", 0.0)
 
 
 @dataclass(frozen=True)
@@ -69,11 +182,14 @@ class SpectralData:
 
     Eigenvalues are sorted descending; eigenvector columns are orthonormal in
     the Euclidean product of the symmetrized form.  ``numerical_rank`` counts
-    eigenvalues strictly above ``cutoff``.  The eigenvectors are n x n, or
-    n x r for a form of structural rank at most r < n (the kernel of a wide
-    transform): its other n - r eigenvalues are zeros sorted in, and column k
-    pairs with eigenvalue k for every eigenvalue above zero, so for every
-    kept one.
+    eigenvalues strictly above ``cutoff``.  The eigenvectors are n x n on the
+    dense route, or n x r on a factor route, where the form is ``F Fᴴ`` with
+    r < n columns in F (the kernel of a wide transform exactly, a low-rank
+    kernel up to the certified error): the other n - r eigenvalues are zeros
+    sorted in, and column k pairs with eigenvalue k for every eigenvalue
+    above zero, so for every kept one.  On the low-rank route the last
+    eigenvalue is not computed but a certified lower bound, lowered by the
+    factor's error (``KernelMatrix.weighted_eigh``).
     """
 
     eigenvalues: np.ndarray
@@ -198,7 +314,9 @@ def validate_psd(K: KernelMatrix, tol_psd: float) -> PsdReport:
     """Check nonnegative-definiteness of the weighted form.
 
     Passes iff the minimum eigenvalue of ``sqrt(W) gram sqrt(W)`` is at least
-    ``-tol_psd``.
+    ``-tol_psd``.  On the low-rank route ``min_eigenvalue`` is the certified
+    lower bound ``-||S - L Lᴴ||_F`` (minus any negative roundoff of the
+    factor's spectrum), not a computed eigenvalue; the gate is the same.
     """
     lam, _ = K.weighted_eigh
     min_eig = float(lam[-1])

@@ -12,12 +12,14 @@ transform: every function here takes it, and its rank and solves read its one
 cached ``eigh`` at one cutoff.  Forward and adjoint are formed per call.
 
 With ``B = diag(m)^{1/2} H diag(w)^{1/2}`` (|T| x |E|), the weighted induced
-form is ``S = Bᴴ B``.  When |T| < |E| that spectrum is read from the |T| side:
-a thin QR ``Bᴴ = Q R`` gives ``S = Q (R Rᴴ) Qᴴ``, so one ``eigh`` of the
-|T| x |T| matrix ``R Rᴴ = V Λ Vᴴ`` yields the |T| leading eigenvalues and
-the eigenvectors ``Q V``; the other |E| - |T| eigenvalues are structural
-zeros.  A square or tall transform decomposes the |E| x |E| form itself,
-which is then the smaller side.
+form is ``S = Bᴴ B``.  When |T| < |E| that spectrum is read from the |T| side
+by ``kernel._factor_eigh`` with the exact factor ``Bᴴ``: a thin QR
+``Bᴴ = Q R`` gives ``S = Q (R Rᴴ) Qᴴ``, so one ``eigh`` of the |T| x |T|
+matrix ``R Rᴴ = V Λ Vᴴ`` yields the |T| leading eigenvalues and the
+eigenvectors ``Q V``; the other |E| - |T| eigenvalues are structural zeros.
+A square or tall transform decomposes the |E| x |E| form, which is then the
+smaller side, as any kernel does: by a certified low-rank factor when one
+applies, else densely.
 """
 from __future__ import annotations
 
@@ -32,6 +34,8 @@ from .kernel import (
     DEFAULT_CUTOFF_REL,
     DEFAULT_RANGE_TOL,
     KernelMatrix,
+    WeightedEigh,
+    _factor_eigh,
     _hermitian_gram,
     _solve_columns,
     condition_number,
@@ -77,21 +81,19 @@ class InducedKernel(KernelMatrix):
         return self.grid
 
     @cached_property
-    def weighted_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (|E|, descending) and eigenvectors (|E| x min(|T|, |E|)) of ``Bᴴ B``."""
+    def weighted_eigh(self) -> WeightedEigh:
+        """Eigenpairs of ``Bᴴ B``: |E| eigenvalues and up to |E| x min(|T|, |E|) eigenvectors.
+
+        A wide map takes the exact factor route with ``F = Bᴴ``; a square or
+        tall one decomposes the |E| x |E| form, by the low-rank or the dense
+        route of ``KernelMatrix.weighted_eigh``.
+        """
         H = self.feature.matrix
-        m_dim, n_dim = H.shape
-        if m_dim >= n_dim:
+        if H.shape[0] >= H.shape[1]:
             return super().weighted_eigh
         sm = np.sqrt(self.feature.grid_T.weights)
         sw = np.sqrt(self.grid.weights)
-        Q, R = np.linalg.qr((sm[:, None] * H * sw[None, :]).conj().T)
-        lam, V = np.linalg.eigh(R @ R.conj().T)
-        order = np.arange(m_dim - 1, -1, -1)
-        lam = lam[order]
-        # the structural zeros sort in after the positive eigenvalues
-        lam = np.insert(lam, np.count_nonzero(lam > 0), np.zeros(n_dim - m_dim))
-        return lam, Q @ V[:, order]
+        return _factor_eigh((sm[:, None] * H * sw[None, :]).conj().T, "wide")
 
 
 @dataclass(frozen=True)

@@ -209,7 +209,44 @@ BAD_FIELDS = {
         _family("orthonormal_diagonal", weight={"name": "linear", "params": {"intercep": 1.0}}),
         "source.feature_family.weight.params has unknown fields: ['intercep']",
     ),
+    "family-params-other-family": (
+        _family("indicator", {"sigma": 0.1, "band": 3.0}),
+        "source.feature_family.params has unknown fields: ['band', 'sigma']",
+    ),
+    "family-weight-other-family": (
+        _family("indicator", {"sigma": 0.1, "band": 3.0},
+                weight={"name": "linear", "params": {"slope": 5.0}}),
+        "source.feature_family has unknown fields: ['weight']",
+    ),
+    "fourier-sigma": (
+        _family("fourier", {"band": 3.0, "sigma": 0.1}),
+        "source.feature_family.params has unknown fields: ['sigma']",
+    ),
+    "gaussian-band": (
+        _family("gaussian", {"sigma": 0.1, "band": 3.0}),
+        "source.feature_family.params has unknown fields: ['band']",
+    ),
+    "gaussian-weight": (
+        _family("gaussian", {"sigma": 0.1}, weight={"name": "constant"}),
+        "source.feature_family has unknown fields: ['weight']",
+    ),
+    "orthonormal-sigma": (
+        _family("orthonormal_diagonal", {"sigma": 0.1}),
+        "source.feature_family.params has unknown fields: ['sigma']",
+    ),
 }
+
+
+@pytest.mark.parametrize("family, params, weight", [
+    ("fourier", {"band": 3.0, "modes": 40}, None),
+    ("indicator", {"modes": 40}, None),
+    ("gaussian", {"sigma": 0.1, "modes": 40}, None),
+    ("orthonormal_diagonal", {"modes": 40}, {"name": "linear", "params": {"slope": 1.0}}),
+])
+def test_each_family_accepts_its_fields(family, params, weight):
+    fields = {} if weight is None else {"weight": weight}
+    config = parse_config(_family(family, params, **fields))
+    assert config.source_params["params"] == params
 MALFORMED_SHAPES.update((key, doc) for key, (doc, _) in BAD_FIELDS.items())
 
 

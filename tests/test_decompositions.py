@@ -203,6 +203,27 @@ def test_wide_verify_one_eigh_on_the_feature_side(eigh_shapes, decompositions):
     assert decompositions == {"svd": 0, "eigh": 1}
 
 
+def test_low_rank_verify_runs_one_small_eigh(eigh_shapes, decompositions):
+    # sinc at n = 1200 takes the low-rank route: one r x r eigh, r <= n / 8
+    doc = kernel_doc("sinc", 1200)
+    doc["source"]["kernel"]["params"] = {"band": 20.0}
+    code, report = cli.run_verify(parse_config(doc))
+    assert code == cli.EXIT_OK
+    assert report["diagnostics"]["decomposition"] == "low_rank"
+    assert len(eigh_shapes) == 1
+    r = eigh_shapes[0][0]
+    assert eigh_shapes == [(r, r)] and r <= 1200 // 8
+    assert decompositions == {"svd": 0, "eigh": 1}
+
+
+def test_full_rank_verify_runs_one_dense_eigh(eigh_shapes, decompositions):
+    code, report = cli.run_verify(parse_config(kernel_doc("brownian", 1200)))
+    assert code == cli.EXIT_OK
+    assert report["diagnostics"]["decomposition"] == "dense"
+    assert eigh_shapes == [(1200, 1200)]
+    assert decompositions == {"svd": 0, "eigh": 1}
+
+
 def trial_images(kernel, config):
     """The in-range trial functions verify draws, as columns, from the config seed."""
     rng = np.random.default_rng(config.seed)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import rkhslab as rl
+from rkhslab.cli import run_verify
+from rkhslab.config import parse_config
+from rkhslab.report import without_timings
 from conftest import random_range_function
 
 
@@ -249,3 +252,148 @@ class TestBuiltinKernels:
             rl.builtin_kernel("gaussian", lengthscale=0.0)
         with pytest.raises(ValueError):
             rl.builtin_kernel("sinc", band=-1.0)
+
+
+def forced_dense(monkeypatch, kernel):
+    """A copy of ``kernel`` decomposed by the dense ``eigh``: the size floor is raised above n."""
+    copy = rl.kernel_from_gram(kernel.gram, kernel.grid)
+    with monkeypatch.context() as patch:
+        patch.setattr(rl.kernel, "LOW_RANK_MIN_SIZE", kernel.size + 1)
+        copy.weighted_eigh
+    return copy
+
+
+def _sinc20(p, q):
+    return rl.builtin_kernel("sinc", band=20.0)(p, q)
+
+
+LOW_RANK_KERNELS = {
+    "sinc": (_sinc20, 1200),
+    "gaussian": (rl.builtin_kernel("gaussian", lengthscale=0.2), 800),
+    "hermitian": (lambda p, q: _sinc20(p, q) * np.exp(3j * (p - q)), 600),
+}
+
+
+class TestLowRankRoute:
+    @pytest.fixture(params=LOW_RANK_KERNELS.values(), ids=LOW_RANK_KERNELS.keys())
+    def routes(self, request, monkeypatch):
+        kfun, n = request.param
+        K = rl.assemble_kernel(kfun, rl.make_uniform_grid(0, 1, n, "trapezoid"))
+        return K, forced_dense(monkeypatch, K)
+
+    def test_agrees_with_dense_route(self, routes):
+        K, dense = routes
+        low, full = K.weighted_eigh, dense.weighted_eigh
+        assert (low.decomposition, full.decomposition) == ("low_rank", "dense")
+        n = K.size
+        rank = rl.spectral_data(K).numerical_rank
+        assert rank == rl.spectral_data(dense).numerical_rank
+        assert 0 < rank <= low.eigenvectors.shape[1] <= n // 8
+        lam_max = full.eigenvalues[0]
+        kept = np.abs(low.eigenvalues[:rank] - full.eigenvalues[:rank])
+        assert np.max(kept) <= 1e-12 * lam_max
+        # the kept subspaces agree on all S weighs; directions with eigenvalues
+        # near the cutoff are fixed only to eps * lam_max / lam, in either route
+        sw = np.sqrt(K.grid.weights)
+        S = sw[:, None] * K.gram * sw[None, :]
+        U1, U2 = low.eigenvectors[:, :rank], full.eigenvectors[:, :rank]
+        gap = U1 @ (U1.conj().T @ S) - U2 @ (U2.conj().T @ S)
+        assert np.linalg.norm(gap, 2) <= 1e-12 * lam_max
+        # Weyl: lambda_min(S) >= -eps; the dense value carries its own
+        # backward error, n * eps * lam_max
+        assert low.certified_error > 0
+        assert low.eigenvalues[-1] <= -low.certified_error
+        slack = n * np.finfo(float).eps * lam_max
+        assert -low.certified_error <= full.eigenvalues[-1] + slack
+        assert rl.validate_psd(K, 1e-10).min_eigenvalue == low.eigenvalues[-1]
+
+    def test_solves_agree_with_dense_route(self, routes):
+        K, dense = routes
+        rng = np.random.default_rng(5)
+        complex_mode = np.iscomplexobj(K.gram)
+        F = np.column_stack(
+            [random_range_function(K, rng, complex_mode).values for _ in range(6)]
+        )
+        w = K.grid.weights[:, None]
+        results = []
+        for kernel in (K, dense):
+            X, residuals = rl.kernel._solve_columns(kernel, F, 1e-12, 1e-6)
+            assert np.max(residuals) <= 1e-10
+            # the space Gram matrix [f_i, f_j] and the reconstruction gram W K^-1 f
+            results.append((X.T @ (w * F).conj(), kernel.gram @ (w * X)))
+        (inner_low, recon_low), (inner_dense, recon_dense) = results
+        assert np.max(np.abs(inner_low - inner_dense)) <= 1e-10 * np.max(np.abs(inner_dense))
+        assert np.max(np.abs(recon_low - recon_dense)) <= 1e-10 * np.max(np.abs(F))
+
+
+def kernel_run_doc(name, n, **params):
+    return {
+        "grids": {"E": {"interval": [0.0, 1.0], "n": n, "rule": "trapezoid"}},
+        "source": {"kernel": {"name": name, "params": params}},
+        "trials": 10,
+        "seed": 3,
+    }
+
+
+def dense_and_default_reports(monkeypatch, doc):
+    """``verify`` reports, without timings, by the default routes and with the floor raised above n."""
+    config = parse_config(doc)
+    default = without_timings(run_verify(config)[1])
+    with monkeypatch.context() as patch:
+        patch.setattr(rl.kernel, "LOW_RANK_MIN_SIZE", 10**9)
+        dense = without_timings(run_verify(config)[1])
+    return default, dense
+
+
+class TestDenseFallback:
+    @pytest.mark.parametrize("doc, psd_passed", [
+        (kernel_run_doc("brownian", 1024), True),
+        (kernel_run_doc("constant", 600, value=-1.0), False),
+        # the absolute PSD tolerance fails the rank-one 1e8 kernel by roundoff
+        (kernel_run_doc("constant", 400, value=1e8), False),
+    ], ids=["brownian-full-rank", "constant-indefinite", "constant-1e8-below-floor"])
+    def test_report_equals_dense_route(self, monkeypatch, doc, psd_passed):
+        default, dense = dense_and_default_reports(monkeypatch, doc)
+        assert default == dense
+        assert default["diagnostics"] == {
+            "decomposition": "dense", "certified_error": 0.0, "min_eigenvalue_is_bound": False,
+        }
+        assert default["psd"]["passed"] is psd_passed
+
+    @pytest.mark.parametrize("extra, route", [(0, "low_rank"), (1, "dense")], ids=["n/8", "n/8+1"])
+    def test_rank_cap(self, monkeypatch, extra, route):
+        n = 600
+        grid = rl.make_uniform_grid(0, 1, n, "midpoint")
+        A = np.random.default_rng(8).standard_normal((n, n // 8 + extra))
+        K = rl.kernel_from_gram(A @ A.T, grid)
+        assert K.weighted_eigh.decomposition == route
+        dense = forced_dense(monkeypatch, K)
+        if route == "dense":
+            np.testing.assert_array_equal(K.weighted_eigh.eigenvalues, dense.weighted_eigh.eigenvalues)
+            np.testing.assert_array_equal(K.weighted_eigh.eigenvectors, dense.weighted_eigh.eigenvectors)
+        rank = rl.spectral_data(K).numerical_rank
+        assert rank == rl.spectral_data(dense).numerical_rank == n // 8 + extra
+
+    def test_indefinite_factor_with_large_error_falls_back(self, monkeypatch):
+        # gram = 1 - 4 (p - 0.3)(q - 0.3): the first pivot leaves a residual
+        # with a nonpositive diagonal, so the factorization stops at rank 1,
+        # and its error, the negative eigenvalue's weight, rejects the factor
+        grid = rl.make_uniform_grid(0, 1, 600, "midpoint")
+        K = rl.assemble_kernel(lambda p, q: 1.0 - 4.0 * (p - 0.3) * (q - 0.3), grid)
+        dense = forced_dense(monkeypatch, K)
+        assert K.weighted_eigh.decomposition == "dense"
+        np.testing.assert_array_equal(K.weighted_eigh.eigenvalues, dense.weighted_eigh.eigenvalues)
+        report = rl.validate_psd(K, 1e-10)
+        assert not report.passed
+        assert report.min_eigenvalue == dense.weighted_eigh.eigenvalues[-1]
+
+
+def test_wide_route_is_exact():
+    grid_T = rl.make_uniform_grid(0, 1, 30, "midpoint")
+    grid_E = rl.make_uniform_grid(0, 1, 600, "midpoint")
+    op = rl.build_transform(
+        rl.make_feature_map(rl.FeatureFamily("indicator"), grid_T, grid_E)
+    )
+    eig = op.weighted_eigh
+    assert (eig.decomposition, eig.certified_error) == ("wide", 0.0)
+    assert eig.eigenvectors.shape == (600, 30)

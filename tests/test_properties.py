@@ -1,11 +1,15 @@
 """Property-based checks of the core algebraic invariants."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rkhslab as rl
+from rkhslab.cli import run_verify
+from rkhslab.config import parse_config
 from rkhslab.rkhs import POINT_EVAL_SLACK
 
 FINITE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -150,3 +154,35 @@ def test_point_eval_equality_invariant_under_kernel_scaling(name, c):
 
     assert relative_defect(base) <= POINT_EVAL_SLACK
     assert relative_defect(scaled) <= POINT_EVAL_SLACK
+
+
+LOW_RANK_SOURCES = st.one_of(
+    st.tuples(st.just("gaussian"), st.just("lengthscale"), st.floats(0.1, 0.5)),
+    st.tuples(st.just("sinc"), st.just("band"), st.floats(5.0, 30.0)),
+)
+
+
+@given(source=LOW_RANK_SOURCES, n=st.integers(min_value=512, max_value=800))
+@settings(max_examples=20, deadline=None)
+def test_low_rank_route_keeps_rank_and_verdicts(source, n):
+    # the forced-dense run raises the size floor above n
+    name, key, value = source
+    config = parse_config({
+        "grids": {"E": {"interval": [0.0, 1.0], "n": n, "rule": "trapezoid"}},
+        "source": {"kernel": {"name": name, "params": {key: value}}},
+        "trials": 10,
+        "seed": 1,
+    })
+
+    def outcome():
+        _, report = run_verify(config)
+        verdicts = {c["name"]: c["passed"] for c in report["criteria"]}
+        return report["conditioning"]["numerical_rank"], verdicts, report["diagnostics"]
+
+    rank, verdicts, diagnostics = outcome()
+    with mock.patch.object(rl.kernel, "LOW_RANK_MIN_SIZE", n + 1):
+        dense_rank, dense_verdicts, dense_diagnostics = outcome()
+    assert (diagnostics["decomposition"], dense_diagnostics["decomposition"]) == (
+        "low_rank", "dense"
+    )
+    assert (rank, verdicts) == (dense_rank, dense_verdicts)
