@@ -83,7 +83,12 @@ def _factor_eigh(factor: np.ndarray, decomposition: str, error: float = 0.0) -> 
     """
     n_dim, r_dim = factor.shape
     Q, R = np.linalg.qr(factor)
-    lam, V = np.linalg.eigh(R @ R.conj().T)
+    # an overflow here is a kernel beyond the float range, as in ``_hermitian_gram``
+    with np.errstate(over="ignore", invalid="ignore"):
+        small = R @ R.conj().T
+    if not np.all(np.isfinite(small)):
+        raise ValueError("kernel produced non-finite values")
+    lam, V = np.linalg.eigh(small)
     order = np.arange(r_dim - 1, -1, -1)
     lam = lam[order]
     lam = np.insert(lam, np.count_nonzero(lam > 0), np.zeros(n_dim - r_dim))
@@ -210,8 +215,12 @@ class SolveResult:
     range_residual: float
 
 
-def _hermitian_gram(gram: np.ndarray, grid: Grid) -> tuple[np.ndarray, float]:
-    """Validate a raw gram; return its Hermitian part (a new array) and its defect."""
+def _hermitian_gram(gram: np.ndarray, grid: Grid, owned: bool = False) -> tuple[np.ndarray, float]:
+    """Validate a raw gram; return its Hermitian part and its defect.
+
+    The Hermitian part is a new array unless ``owned`` says the caller has
+    just formed ``gram`` itself and an exactly Hermitian one may be kept.
+    """
     gram = as_samples(gram)
     if gram.shape != (grid.size, grid.size):
         raise ValueError(f"gram must be {grid.size}x{grid.size}, got {gram.shape}")
@@ -220,7 +229,7 @@ def _hermitian_gram(gram: np.ndarray, grid: Grid) -> tuple[np.ndarray, float]:
     adjoint = gram.conj().T
     if np.array_equal(gram, adjoint):
         defect = 0.0
-        sym = gram.copy()
+        sym = gram if owned else gram.copy()
     else:
         # a difference that overflows exceeds any admissible defect
         with np.errstate(over="ignore"):

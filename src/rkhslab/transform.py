@@ -9,7 +9,15 @@ and the operator identities (factorization, isometry, round-trip inversion)
 become finite-dimensional residuals that this module measures.  Since
 ``K = L L*``, the ``InducedKernel`` that ``build_transform`` returns is the
 transform: every function here takes it, and its rank and solves read its one
-cached ``eigh`` at one cutoff.  Forward and adjoint are formed per call.
+cached ``eigh`` at one cutoff.
+
+Building it does no n x n work.  ``apply_forward`` and ``apply_adjoint`` are
+matvecs, ``Hᴴ (m∘F)`` and ``H (w∘g)``; only ``verify_identities``, which
+needs their product, forms the two matrices.  The gram is formed on first
+read, with its Hermitian defect, as ``Cᴴ C`` with ``C = diag(√m) H``: one
+syrk for a real map, exactly symmetric.  ``verify`` and ``analyze`` read it
+once, a square or tall ``invert`` once for its ``eigh``, and a wide
+``invert`` never.
 
 With ``B = diag(m)^{1/2} H diag(w)^{1/2}`` (|T| x |E|), the weighted induced
 form is ``S = Bᴴ B``.  When |T| < |E| that spectrum is read from the |T| side
@@ -62,15 +70,45 @@ class FeatureMap:
             raise ValueError("feature matrix entries must be finite")
 
 
-@dataclass
 class InducedKernel(KernelMatrix):
     """The kernel ``Hᴴ diag(m) H`` a feature map induces on grid E, and its transform.
 
     It refers to its feature map, which it does not copy, so a wide map
     (|T| < |E|) decomposes its |T| x |T| side; see the module docstring.
+    ``gram`` and ``hermitian_defect`` are formed together at the first read
+    of either, as ``Cᴴ C`` with ``C = diag(√m) H``; a wide ``invert`` reads
+    neither.  A gram, or a wide map's ``R Rᴴ``, that overflows raises
+    ``ValueError`` ("kernel produced non-finite values") where it is formed.
     """
 
-    feature: FeatureMap
+    def __init__(self, feature: FeatureMap):
+        self.grid = feature.grid_E
+        self.feature = feature
+
+    def __repr__(self) -> str:
+        return f"InducedKernel(feature={self.feature!r})"
+
+    @property
+    def gram(self) -> np.ndarray:
+        return self._formed("gram")
+
+    @property
+    def hermitian_defect(self) -> float:
+        return self._formed("hermitian_defect")
+
+    def _formed(self, name: str):
+        """The gram or its defect, both formed and cached at the first read of either."""
+        cache = vars(self)
+        if name not in cache:
+            C = np.sqrt(self.feature.grid_T.weights)[:, None] * self.feature.matrix
+            # a real C makes this a syrk, exactly symmetric; an overflow is
+            # reported as non-finite values by ``_hermitian_gram``
+            with np.errstate(over="ignore", invalid="ignore"):
+                product = C.conj().T @ C
+            cache["gram"], cache["hermitian_defect"] = _hermitian_gram(
+                product, self.grid, owned=True
+            )
+        return cache[name]
 
     @property
     def grid_T(self) -> Grid:
@@ -137,32 +175,27 @@ class InversionResult:
     range_residual: float
 
 
-def _forward(feature: FeatureMap) -> np.ndarray:
-    """``Hᴴ diag(m)``, N x M: maps samples on T to samples on E."""
-    return feature.matrix.conj().T * feature.grid_T.weights[None, :]
-
-
-def _adjoint(feature: FeatureMap) -> np.ndarray:
-    """``H diag(w)``, M x N: the weighted-L2 adjoint."""
-    return feature.matrix * feature.grid_E.weights[None, :]
-
-
 def build_transform(feature: FeatureMap) -> InducedKernel:
-    """The kernel ``Hᴴ diag(m) H`` a feature map induces; it holds the map itself."""
-    gram, defect = _hermitian_gram(_forward(feature) @ feature.matrix, feature.grid_E)
-    return InducedKernel(grid=feature.grid_E, gram=gram, hermitian_defect=defect, feature=feature)
+    """The kernel ``Hᴴ diag(m) H`` a feature map induces; it holds the map itself.
+
+    No n x n work is done here: the gram is formed on first read.
+    """
+    return InducedKernel(feature)
 
 
 def apply_forward(op: InducedKernel, F: DiscreteFunction) -> DiscreteFunction:
-    """Apply the transform to a function on grid T, yielding one on grid E."""
+    """Apply the transform to a function on grid T, yielding one on grid E: ``Hᴴ (m∘F)``."""
     ensure_aligned(F, op.grid_T)
-    return DiscreteFunction(values=_forward(op.feature) @ F.values, grid=op.grid_E)
+    mF = op.grid_T.weights * F.values
+    # (conj(x) H)ᴴ = Hᴴ x, without a conjugated copy of H
+    return DiscreteFunction(values=(mF.conj() @ op.feature.matrix).conj(), grid=op.grid_E)
 
 
 def apply_adjoint(op: InducedKernel, g: DiscreteFunction) -> DiscreteFunction:
-    """Apply the weighted-L2 adjoint to a function on grid E."""
+    """Apply the weighted-L2 adjoint to a function on grid E: ``H (w∘g)``."""
     ensure_aligned(g, op.grid_E)
-    return DiscreteFunction(values=_adjoint(op.feature) @ g.values, grid=op.grid_T)
+    wg = op.grid_E.weights * g.values
+    return DiscreteFunction(values=op.feature.matrix @ wg, grid=op.grid_T)
 
 
 def check_injectivity(
@@ -209,8 +242,9 @@ def verify_identities(
     # the eigh behind the rank runs before the n x n products below exist
     inj = check_injectivity(op, cutoff_rel)
 
-    forward = _forward(op.feature)
-    adjoint = _adjoint(op.feature)
+    # forward Hᴴ diag(m) and adjoint H diag(w) as matrices: the factorization needs their product
+    forward = op.feature.matrix.conj().T * m[None, :]
+    adjoint = op.feature.matrix * w[None, :]
     # factorization: induced operator == forward @ adjoint; the gap is formed in place
     lhs = op.gram * w[None, :]
     rhs = forward @ adjoint

@@ -8,12 +8,11 @@ import json
 import math
 
 import numpy as np
-import pytest
 
 import rkhslab as rl
 from rkhslab.cli import main
 from rkhslab.report import dump_report, without_timings
-from conftest import FOURIER_BAND, random_range_function
+from conftest import random_range_function
 
 SEED = 20240211
 

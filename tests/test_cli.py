@@ -584,6 +584,32 @@ def test_bad_csv_source_is_config_error(tmp_path, capsys, command, kind, matrix,
     assert err.startswith("config error: source.csv:") and message in err
 
 
+@pytest.mark.parametrize("command", ["verify", "invert", "analyze"])
+@pytest.mark.parametrize("n_T", [40, 20], ids=["square", "wide"])
+def test_overflowing_feature_csv_is_config_error(tmp_path, capsys, command, n_T):
+    # the induced form of a 1e200-scaled map overflows: the gram on the square
+    # route, R Rᴴ on the wide one; either is a config error, without a warning
+    path = tmp_path / "H.csv"
+    save_matrix_csv(1e200 * np.random.default_rng(0).standard_normal((n_T, 40)), path, mode="real")
+    grid = {"interval": [0.0, 1.0], "n": 40, "rule": "midpoint"}
+    doc = {
+        "grids": {"E": grid, "T": {**grid, "n": n_T}},
+        "source": {"csv": {"kind": "feature", "path": str(path), "mode": "real"}},
+        "trials": 5,
+        "seed": 1,
+    }
+    argv = [command, "--config", str(write_config(tmp_path, doc))]
+    if command == "invert":
+        data = tmp_path / "d.csv"
+        save_function_csv(rl.sample_function(rl.make_uniform_grid(0, 1, 40, "midpoint"),
+                                             lambda p: p), data)
+        argv += ["--data", str(data), "--out", str(tmp_path / "rec.csv")]
+    code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "kernel produced non-finite values" in err
+
+
 class TestNumericalErrors:
     def test_eigh_non_convergence_exit_four(self, tmp_path, monkeypatch, capsys):
         def failing_eigh(*args, **kwargs):

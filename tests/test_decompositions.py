@@ -7,7 +7,8 @@ batched solve for the reproducing and point-evaluation trials and, on a
 feature source, one for the transform trials; the norms of the kernel
 sections come in closed form from the cached eigenpairs, without a solve.
 Its report values must match a per-trial and per-section recomputation with
-the library's single-function routines.
+the library's single-function routines.  An induced kernel forms its gram
+once, where it is first read, and a wide ``invert`` never does.
 """
 import sys
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import rkhslab as rl
-from rkhslab import cli, kernel as kernel_module
+from rkhslab import cli, kernel as kernel_module, transform as transform_module
 from rkhslab.config import build_objects, parse_config
 from rkhslab.io import save_function_csv, save_kernel_csv
 
@@ -109,6 +110,20 @@ def batched_solves(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def gram_builds(monkeypatch):
+    """Records every induced gram formed, through ``transform._hermitian_gram``."""
+    original = transform_module._hermitian_gram
+    shapes = []
+
+    def recorded(gram, *args, **kwargs):
+        shapes.append(np.shape(gram))
+        return original(gram, *args, **kwargs)
+
+    monkeypatch.setattr(transform_module, "_hermitian_gram", recorded)
+    return shapes
+
+
 def write_invert_data(tmp_path, config, seed=11):
     built = build_objects(config)
     rng = np.random.default_rng(seed)
@@ -193,6 +208,35 @@ def test_invert_decomposes_the_smaller_side(tmp_path, eigh_shapes, n_T, n_E, sid
     assert code == (cli.EXIT_RANGE if n_T > n_E else cli.EXIT_OK)
     assert report["injectivity"]["injective"] is (n_T <= n_E)
     assert eigh_shapes == [(side, side)]
+
+
+@pytest.mark.parametrize("command", ["verify", "invert", "analyze"])
+@pytest.mark.parametrize("n_T", [60, 30], ids=["square", "wide"])
+def test_induced_gram_formed_once_where_read(tmp_path, monkeypatch, gram_builds, command, n_T):
+    # the gram is lazy: verify and analyze read it once, a square invert once
+    # for its eigh, and a wide invert, whose eigh is on the feature side, never
+    config = parse_config(indicator_doc(n_T=n_T, n_E=60))
+    built_ops = []
+
+    def recording_build(config):
+        built = build_objects(config)
+        built_ops.append(built.kernel)
+        return built
+
+    monkeypatch.setattr(cli, "build_objects", recording_build)
+    if command == "invert":
+        data = write_invert_data(tmp_path, config)
+        gram_builds.clear()
+        code, _ = cli.run_invert(config, data, tmp_path / "rec.csv")
+    elif command == "verify":
+        code, _ = cli.run_verify(config)
+    else:
+        code, _ = cli.run_analyze(config)
+    assert code == cli.EXIT_OK
+    formed = 0 if (command, n_T) == ("invert", 30) else 1
+    assert gram_builds == [(60, 60)] * formed
+    (op,) = built_ops
+    assert ("gram" in vars(op)) is bool(formed)
 
 
 def test_wide_verify_one_eigh_on_the_feature_side(eigh_shapes, decompositions):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import rkhslab as rl
-from conftest import FOURIER_BAND
 
 
 @pytest.fixture(scope="module")
@@ -73,14 +72,14 @@ class TestBuildTransform:
         assert op.gram.shape == (40, 40)
 
     def test_operator_holds_feature_matrix_once(self, small_grids):
-        # the only matrices on an operator are H, the induced gram and the
-        # eigh the induced kernel caches at first use; forward and adjoint are formed per call
+        # an operator is built holding H alone; the induced gram and the eigh are
+        # cached at first use, and forward and adjoint are formed per call
         grid_T, grid_E = small_grids
         rng = np.random.default_rng(3)
         fm = rl.FeatureMap(grid_T=grid_T, grid_E=grid_E,
                            matrix=rng.standard_normal((30, 40)))
         op = rl.build_transform(fm)
-        assert set(vars(op)) == {"grid", "gram", "hermitian_defect", "feature"}
+        assert set(vars(op)) == {"grid", "feature"}
         rl.verify_identities(op, trials=5)
         assert set(vars(op)) == {"grid", "gram", "hermitian_defect", "feature", "weighted_eigh"}
         allowed = {id(fm.matrix), id(op.gram)}
@@ -389,25 +388,67 @@ class TestWideSpectrum:
         assert rl.solve_kernel_system(K, in_range).range_residual <= 1e-12
 
 
-@pytest.mark.parametrize("kind", ["real", "complex", "indicator"])
-def test_wide_invert_matches_least_squares(kind):
-    grid_T = rl.make_uniform_grid(0, 1, 60, "midpoint")
-    grid_E = rl.make_uniform_grid(0, 1, 120, "midpoint")
+INVERT_SHAPES = {"wide": (60, 120), "square": (60, 60), "tall": (60, 30)}
+INVERT_CASES = [(kind, shape) for shape in INVERT_SHAPES for kind in ("real", "complex", "indicator")]
+
+
+@pytest.mark.parametrize(
+    "kind, shape", INVERT_CASES,
+    ids=[kind if shape == "wide" else f"{kind}-{shape}" for kind, shape in INVERT_CASES],
+)
+def test_wide_invert_matches_least_squares(kind, shape):
+    n_T, n_E = INVERT_SHAPES[shape]
+    grid_T = rl.make_uniform_grid(0, 1, n_T, "midpoint")
+    grid_E = rl.make_uniform_grid(0, 1, n_E, "midpoint")
     rng = np.random.default_rng(17)
     if kind == "indicator":
         fm = rl.make_feature_map(rl.FeatureFamily("indicator"), grid_T, grid_E)
     else:
-        H = rng.standard_normal((60, 120))
+        H = rng.standard_normal((n_T, n_E))
         if kind == "complex":
-            H = H + 1j * rng.standard_normal((60, 120))
+            H = H + 1j * rng.standard_normal((n_T, n_E))
         fm = rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H)
     op = rl.build_transform(fm)
-    source = rng.standard_normal(60)
+    source = rng.standard_normal(n_T)
     f = rl.apply_forward(op, rl.DiscreteFunction(source, grid_T))
-    recovered = rl.invert(op, f).recovered.values
-    # least squares on the weighted forward matrix sqrt(w) Hᴴ diag(m)
+    if shape == "tall":
+        # |T| > |E| is never injective, so invert refuses; the L* K⁻¹ f it
+        # would return is still the minimum-norm least-squares solution
+        with pytest.raises(rl.NotInjectiveError):
+            rl.invert(op, f)
+        solved = rl.solve_kernel_system(op, f, range_tol=None).solution
+        recovered = rl.apply_adjoint(op, solved).values
+    else:
+        recovered = rl.invert(op, f).recovered.values
+    # least squares on the weighted forward matrix sqrt(w) Hᴴ diag(m); m is
+    # constant, so its minimum-norm solution is the minimum m-norm one
     sw = np.sqrt(grid_E.weights)
     forward = fm.matrix.conj().T * grid_T.weights[None, :]
     reference = np.linalg.lstsq(sw[:, None] * forward, sw * f.values, rcond=None)[0]
     assert np.linalg.norm(recovered - reference) <= 1e-9 * np.linalg.norm(reference)
-    assert np.linalg.norm(recovered - source) <= 1e-9 * np.linalg.norm(source)
+    if shape != "tall":
+        assert np.linalg.norm(recovered - source) <= 1e-9 * np.linalg.norm(source)
+
+
+@pytest.mark.parametrize("n_T", [40, 50, 30], ids=["square", "tall", "wide"])
+@pytest.mark.parametrize("kind", ["real", "complex", "duplicate-rows"])
+def test_lazy_gram_matches_explicit_product(kind, n_T):
+    # trapezoid weights on T are not constant, so diag(√m) must land on both sides
+    grid_T = rl.make_uniform_grid(0, 1, n_T, "trapezoid")
+    grid_E = rl.make_uniform_grid(0, 1, 40, "midpoint")
+    rng = np.random.default_rng(23)
+    H = rng.standard_normal((n_T, 40))
+    if kind == "complex":
+        H = H + 1j * rng.standard_normal((n_T, 40))
+    if kind == "duplicate-rows":
+        H[7, :] = H[3, :]
+    op = rl.build_transform(rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H))
+    assert "gram" not in vars(op) and "hermitian_defect" not in vars(op)
+    gram = op.gram
+    expected = (H.conj().T * grid_T.weights[None, :]) @ H
+    assert np.max(np.abs(gram - expected)) <= 1e-13 * np.max(np.abs(gram))
+    assert op.gram is gram
+    if kind != "complex":
+        # a real map's gram is one syrk: exactly symmetric, with no defect
+        assert gram.dtype == np.float64 and np.array_equal(gram, gram.T)
+        assert op.hermitian_defect == 0.0

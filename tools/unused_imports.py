@@ -1,14 +1,15 @@
-"""List the names each ``rkhslab`` module imports but never uses.
+"""List the names each module of the package, its tests and its tools imports but never uses.
 
     python3 tools/unused_imports.py
 
-Every module under ``src/rkhslab`` except ``__init__.py`` (which imports to
-re-export) is parsed with the standard-library ``ast``.  A name bound by an
-``import`` or ``from ... import`` statement counts as used when it appears
-anywhere in the module as a name, including as the base of an attribute
-access and inside annotations.  One line per unused import is printed:
+Every module under ``src/rkhslab``, ``tests`` and ``tools``, except the
+package's ``__init__.py`` (which imports to re-export), is parsed with the
+standard-library ``ast``.  A name bound by an ``import`` or
+``from ... import`` statement counts as used when it appears anywhere in the
+module as a name, including as the base of an attribute access and inside
+annotations.  One line per unused import is printed:
 
-    <module file>: <name>
+    <module path from the repository root>: <name>
 
 The exit status is 1 when any line is printed, 0 otherwise.
 """
@@ -16,7 +17,8 @@ import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rkhslab"
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = (ROOT / "src" / "rkhslab", ROOT / "tests", ROOT / "tools")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,12 +37,13 @@ def unused_imports(source: str) -> list[str]:
 
 def main() -> int:
     found = False
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for name in unused_imports(path.read_text()):
-            print(f"{path.name}: {name}")
-            found = True
+    for directory in SCANNED:
+        for path in sorted(directory.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            for name in unused_imports(path.read_text()):
+                print(f"{path.relative_to(ROOT)}: {name}")
+                found = True
     return 1 if found else 0
 
 
