@@ -3,23 +3,30 @@
 The integral operator ``(Kf)(p) = integral K(p,q) f(q) dq`` discretizes to the
 matrix ``gram @ diag(w)`` acting on sample vectors, where ``gram`` holds the
 kernel values at grid points and ``w`` the quadrature weights.  All solves go
-through the eigendecomposition of the symmetrized form
-``S = sqrt(W) gram sqrt(W)``, with a relative eigenvalue cutoff standing in
-for restriction to the operator range.
+through a decomposition of the symmetrized form ``S = sqrt(W) gram sqrt(W)``,
+with a relative eigenvalue cutoff standing in for restriction to the
+operator range.
 
-That eigendecomposition takes one of three routes, each with one ``eigh``:
+That decomposition takes one of four routes:
 
 * ``wide``: the kernel a wide transform induces (``transform.InducedKernel``)
   reads the spectrum from its smaller feature side, an exact factor
-  ``S = F Fᴴ`` with fewer columns than rows.
+  ``S = F Fᴴ`` with fewer columns than rows, by one small ``eigh``.
 * ``low_rank``: at n >= ``LOW_RANK_MIN_SIZE`` a pivoted Cholesky
   ``S ≈ L Lᴴ`` is tried first (Harbrecht, Peters & Schneider 2012).  It is
   used when it needs at most n / 8 pivots, all positive, and its error
   ``err = ||S - L Lᴴ||_F`` is at most ``n * eps * lambda_max`` (``eps`` the
   machine epsilon), the backward error of the dense ``eigh`` it replaces.
   By Weyl's inequality ``lambda_min(S) >= -err``, and the last eigenvalue
-  slot carries that bound.
-* ``dense``: otherwise the n x n form is decomposed itself.
+  slot carries that bound.  Its factor then takes one small ``eigh``.
+* ``cholesky``: otherwise, at n >= ``LOW_RANK_MIN_SIZE``, a full Cholesky
+  ``S = L Lᴴ`` is tried.  When it succeeds the eigenvalues come from
+  ``eigvalsh`` and no eigenvectors are formed: at a cutoff that keeps every
+  eigenvalue the pseudo-inverse is the inverse, and the solves are two
+  triangular substitutions with ``L``.  A cutoff that drops an eigenvalue
+  reads the dense ``eigh``, run then, once (``KernelMatrix.dense_eigh``).
+* ``dense``: otherwise, or when ``S`` is not numerically positive definite,
+  the n x n form is decomposed by one ``eigh``.
 
 A factor route yields eigenvectors with fewer columns than rows, and its
 remaining eigenvalues are zeros.
@@ -45,27 +52,30 @@ DEFAULT_CUTOFF_REL = 1e-12
 #: default relative residual above which a solve reports a range violation
 DEFAULT_RANGE_TOL = 1e-6
 
-#: smallest form size at which the low-rank route is tried before the dense ``eigh``
+#: smallest form size at which the low-rank, then the Cholesky route run before the dense ``eigh``
 LOW_RANK_MIN_SIZE = 512
 
 #: the pivoted Cholesky stops once every residual diagonal is at most this times the largest diagonal
 PIVOT_STOP_REL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedEigh:
     """Eigenpairs of the weighted form, descending, and how they were computed.
 
-    ``decomposition`` names the route: ``"dense"``, ``"wide"`` or
-    ``"low_rank"``.  ``certified_error`` is ``||S - L Lᴴ||_F`` of the
-    low-rank factor, and 0 on the exact routes.  It unpacks as the pair
-    ``(eigenvalues, eigenvectors)``.
+    ``decomposition`` names the route: ``"dense"``, ``"wide"``,
+    ``"low_rank"`` or ``"cholesky"``.  ``certified_error`` is
+    ``||S - L Lᴴ||_F`` of the low-rank factor, and 0 on the exact routes.
+    On the ``cholesky`` route ``eigenvectors`` is None and ``L`` is the
+    lower-triangular factor ``S = L Lᴴ``; on every other route ``L`` is
+    None.  It unpacks as the pair ``(eigenvalues, eigenvectors)``.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     decomposition: str
     certified_error: float
+    L: np.ndarray | None = None
 
     def __iter__(self):
         return iter((self.eigenvalues, self.eigenvectors))
@@ -144,7 +154,15 @@ def _low_rank_eigh(S: np.ndarray) -> WeightedEigh | None:
     return _factor_eigh(L, "low_rank", error)
 
 
-@dataclass
+def _dense_eigh(S: np.ndarray) -> WeightedEigh:
+    """The ``dense`` route: one ``eigh`` of the n x n form."""
+    lam, U = np.linalg.eigh(S)
+    # a fancy index keeps U Fortran-ordered; the solves' last digits depend on it
+    order = np.arange(lam.size - 1, -1, -1)
+    return WeightedEigh(lam[order], U[:, order], "dense", 0.0)
+
+
+@dataclass(eq=False)
 class KernelMatrix:
     """Hermitian matrix of kernel values over one grid.
 
@@ -160,30 +178,51 @@ class KernelMatrix:
     def size(self) -> int:
         return self.grid.size
 
-    @cached_property
-    def weighted_eigh(self) -> WeightedEigh:
-        """Eigenpairs of ``S = sqrt(W) gram sqrt(W)``, descending; computed once, on first use.
-
-        The ``low_rank`` route is tried first and the dense ``eigh`` runs
-        when it does not apply; see the module docstring.
-        """
+    def _weighted_form(self) -> np.ndarray:
+        """``S = sqrt(W) gram sqrt(W)``, exactly Hermitian, as a new array."""
         sw = np.sqrt(self.grid.weights)
         S = sw[:, None] * self.gram * sw[None, :]
         # halving first cannot overflow; the overlapping transpose is read before S is written
         S *= 0.5
         S += S.conj().T
+        return S
+
+    @cached_property
+    def weighted_eigh(self) -> WeightedEigh:
+        """Eigenvalues of ``S = sqrt(W) gram sqrt(W)``, descending; computed once, on first use.
+
+        The ``low_rank`` route is tried first, then the ``cholesky`` route,
+        and the dense ``eigh`` runs when neither applies; see the module
+        docstring.  The result holds eigenvectors or, on the ``cholesky``
+        route, the factor ``L``, which takes their place in memory: ``S``
+        itself is not kept.
+        """
+        S = self._weighted_form()
         low_rank = _low_rank_eigh(S)
         if low_rank is not None:
             return low_rank
-        lam, U = np.linalg.eigh(S)
-        # a fancy index keeps U Fortran-ordered; the solves' last digits depend on it
-        order = np.arange(lam.size - 1, -1, -1)
-        return WeightedEigh(lam[order], U[:, order], "dense", 0.0)
+        if S.shape[0] >= LOW_RANK_MIN_SIZE:
+            try:
+                L = np.linalg.cholesky(S)
+            except np.linalg.LinAlgError:
+                pass  # not numerically positive definite: the dense eigh decides
+            else:
+                return WeightedEigh(np.linalg.eigvalsh(S)[::-1], None, "cholesky", 0.0, L)
+        return _dense_eigh(S)
+
+    @cached_property
+    def dense_eigh(self) -> WeightedEigh:
+        """The dense ``eigh`` of ``S``, formed anew; computed once, on first use.
+
+        Only ``spectral_data`` reads it, at a cutoff that drops an eigenvalue
+        of a form the ``cholesky`` route decomposed.
+        """
+        return _dense_eigh(self._weighted_form())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Eigendecomposition of the weighted symmetric form, rank-truncated.
+    """Spectrum of the weighted symmetric form at one cutoff, and what its solves read.
 
     Eigenvalues are sorted descending; eigenvector columns are orthonormal in
     the Euclidean product of the symmetrized form.  ``numerical_rank`` counts
@@ -195,12 +234,19 @@ class SpectralData:
     above zero, so for every kept one.  On the low-rank route the last
     eigenvalue is not computed but a certified lower bound, lowered by the
     factor's error (``KernelMatrix.weighted_eigh``).
+
+    On the ``cholesky`` route, when the cutoff keeps all n eigenvalues,
+    ``eigenvectors`` is None and ``L`` is the Cholesky factor ``S = L Lᴴ``,
+    through which the solves run; the eigenvalues are ``eigvalsh``'s.  At a
+    cutoff that drops one, every field comes from the dense ``eigh``
+    (``KernelMatrix.dense_eigh``) and ``L`` is None, as on every other route.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     cutoff: float
     numerical_rank: int
+    L: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -310,13 +356,36 @@ def spectral_data(K: KernelMatrix, cutoff_rel: float = DEFAULT_CUTOFF_REL) -> Sp
     """Spectral factorization with the rank cutoff ``cutoff_rel * lambda_max``."""
     if not 0 < cutoff_rel < 1:
         raise ValueError("cutoff_rel must lie in (0, 1)")
-    lam, U = K.weighted_eigh
-    lam_max = max(float(lam[0]), 0.0)
-    cutoff = cutoff_rel * lam_max
+    spec = _truncated(K.weighted_eigh, cutoff_rel)
+    if spec.L is not None and spec.numerical_rank < K.size:
+        # the Cholesky factor inverts the whole form only: dropping needs eigenvectors
+        spec = _truncated(K.dense_eigh, cutoff_rel)
+    return spec
+
+
+def _truncated(eig: WeightedEigh, cutoff_rel: float) -> SpectralData:
+    """``eig`` at the cutoff ``cutoff_rel * lambda_max``."""
+    lam = eig.eigenvalues
+    cutoff = cutoff_rel * max(float(lam[0]), 0.0)
     rank = int(np.count_nonzero(lam > cutoff))
     return SpectralData(
-        eigenvalues=lam, eigenvectors=U, cutoff=cutoff, numerical_rank=rank
+        eigenvalues=lam, eigenvectors=eig.eigenvectors, cutoff=cutoff, numerical_rank=rank,
+        L=eig.L,
     )
+
+
+def _kept_diagonal(K: KernelMatrix, cutoff_rel: float = DEFAULT_CUTOFF_REL) -> np.ndarray:
+    """Diagonal of the weighted form restricted to the eigenpairs the cutoff keeps.
+
+    It is ``sum_{k < rank} lam_k |U[q, k]|^2`` over the kept eigenpairs, or,
+    when the ``cholesky`` route keeps them all, ``(L Lᴴ)_qq``, the squared
+    row norms of ``L``; in exact arithmetic the two agree.  O(n rank) work.
+    """
+    spec = spectral_data(K, cutoff_rel)
+    if spec.L is not None:
+        return np.einsum("ij,ij->i", spec.L, spec.L.conj()).real
+    rank = spec.numerical_rank
+    return np.abs(spec.eigenvectors[:, :rank]) ** 2 @ spec.eigenvalues[:rank]
 
 
 def validate_psd(K: KernelMatrix, tol_psd: float) -> PsdReport:
@@ -325,7 +394,8 @@ def validate_psd(K: KernelMatrix, tol_psd: float) -> PsdReport:
     Passes iff the minimum eigenvalue of ``sqrt(W) gram sqrt(W)`` is at least
     ``-tol_psd``.  On the low-rank route ``min_eigenvalue`` is the certified
     lower bound ``-||S - L Lᴴ||_F`` (minus any negative roundoff of the
-    factor's spectrum), not a computed eigenvalue; the gate is the same.
+    factor's spectrum), not a computed eigenvalue; the gate is the same.  On
+    the ``cholesky`` route it is ``eigvalsh``'s.
     """
     lam, _ = K.weighted_eigh
     min_eig = float(lam[-1])
@@ -347,6 +417,27 @@ def apply_operator(K: KernelMatrix, f: DiscreteFunction) -> DiscreteFunction:
     return DiscreteFunction(values=K.gram @ (K.grid.weights * f.values), grid=K.grid)
 
 
+def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``y`` with ``L Lᴴ y = b`` for lower-triangular ``L``: forward, then back substitution.
+
+    Both run in blocks of rows: ``np.linalg.solve`` on each diagonal block,
+    after a matrix product subtracts the blocks already solved.
+    """
+    n_dim = L.shape[0]
+    block = 256
+    starts = range(0, n_dim, block)
+    y = np.empty(b.shape, dtype=np.result_type(L, b))
+    for r0 in starts:
+        r1 = min(r0 + block, n_dim)
+        y[r0:r1] = np.linalg.solve(L[r0:r1, r0:r1], b[r0:r1] - L[r0:r1, :r0] @ y[:r0])
+    for r0 in reversed(starts):
+        r1 = min(r0 + block, n_dim)
+        # rows r0:r1 of Lᴴ y = (forward result), with the later rows of y already solved
+        rhs = y[r0:r1] - L[r1:, r0:r1].conj().T @ y[r1:]
+        y[r0:r1] = np.linalg.solve(L[r0:r1, r0:r1].conj().T, rhs)
+    return y
+
+
 def _solve_columns(
     K: KernelMatrix, rhs: np.ndarray, cutoff_rel: float, range_tol: float | None = None
 ):
@@ -356,29 +447,35 @@ def _solve_columns(
     weighted-L2 norm of the component of ``rhs`` outside the numerical range
     (the dropped spectral coefficients).  Raises ``RangeViolationError`` with
     the residual of the first column above ``range_tol``, unless it is None.
+    When the ``cholesky`` route keeps every eigenvalue nothing is dropped,
+    the residuals are 0, and ``S y = sqrt(W) rhs`` is solved with ``L``.
     """
     spec = spectral_data(K, cutoff_rel)
-    lam, U = spec.eigenvalues, spec.eigenvectors
-    rank = spec.numerical_rank
     sw = np.sqrt(K.grid.weights)
     single = rhs.ndim == 1
     cols = rhs[:, None] if single else rhs
     weighted = sw[:, None] * cols
-    coeffs = U.conj().T @ weighted
-    if U.shape[1] == U.shape[0]:
-        total = np.linalg.norm(coeffs, axis=0)
-        dropped = np.linalg.norm(coeffs[rank:, :], axis=0)
+    if spec.L is not None:
+        x = _cholesky_solve(spec.L, weighted) / sw[:, None]
+        residuals = np.zeros(weighted.shape[1])
     else:
-        # U spans only part of the space: measure what the kept columns leave out
-        total = np.linalg.norm(weighted, axis=0)
-        dropped = np.linalg.norm(weighted - U[:, :rank] @ coeffs[:rank], axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        residuals = np.where(total > 0, dropped / total, 0.0)
-    if range_tol is not None and np.any(residuals > range_tol):
-        first = float(residuals[np.argmax(residuals > range_tol)])
-        raise RangeViolationError(first, range_tol)
-    # at rank 0 the empty product is the zero solution
-    x = (U[:, :rank] @ (coeffs[:rank] / lam[:rank, None])) / sw[:, None]
+        lam, U = spec.eigenvalues, spec.eigenvectors
+        rank = spec.numerical_rank
+        coeffs = U.conj().T @ weighted
+        if U.shape[1] == U.shape[0]:
+            total = np.linalg.norm(coeffs, axis=0)
+            dropped = np.linalg.norm(coeffs[rank:, :], axis=0)
+        else:
+            # U spans only part of the space: measure what the kept columns leave out
+            total = np.linalg.norm(weighted, axis=0)
+            dropped = np.linalg.norm(weighted - U[:, :rank] @ coeffs[:rank], axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            residuals = np.where(total > 0, dropped / total, 0.0)
+        if range_tol is not None and np.any(residuals > range_tol):
+            first = float(residuals[np.argmax(residuals > range_tol)])
+            raise RangeViolationError(first, range_tol)
+        # at rank 0 the empty product is the zero solution
+        x = (U[:, :rank] @ (coeffs[:rank] / lam[:rank, None])) / sw[:, None]
     if single:
         return x[:, 0], float(residuals[0])
     return x, residuals

@@ -7,7 +7,7 @@ reproducing identity, the point-evaluation bound, and least-squares
 projections onto finite spans of kernel sections.  ``verify_reproducing``
 measures the first two over seeded random trials in one batched solve, and
 the equality of the bound at every kernel section from the cached
-eigenpairs, without a solve.
+decomposition, without a solve.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .kernel import (
     DEFAULT_CUTOFF_REL,
     DEFAULT_RANGE_TOL,
     KernelMatrix,
+    _kept_diagonal,
     _solve_columns,
     solve_kernel_system,
     spectral_data,
@@ -156,9 +157,10 @@ def verify_reproducing(
 
     The in-range trial functions share one batched solve.  The bound is an
     equality at the kernel sections, and their squared norms come in closed
-    form from the cached eigenpairs, ``sum_{k < rank} lam_k |U[q, k]|^2 / w_q``:
-    O(n rank) work that equals, in exact arithmetic, a pseudo-inverse solve
-    of the n columns of ``gram``.  Raises
+    form from the cached eigenpairs, ``sum_{k < rank} lam_k |U[q, k]|^2 / w_q``,
+    or, when the Cholesky route keeps every eigenvalue, ``(L Lᴴ)_qq / w_q``
+    (``kernel._kept_diagonal``): O(n rank) work that equals, in exact
+    arithmetic, a pseudo-inverse solve of the n columns of ``gram``.  Raises
     ``RangeViolationError`` with the residual of the first trial that has
     more than ``range_tol`` of its mass outside the numerical range.
     """
@@ -178,12 +180,9 @@ def verify_reproducing(
     rhs = sqrt_diag[:, None] * norm_f[None, :]
     max_excess = float(np.max(_excess(np.abs(F), rhs)))
     # equality of the bound at the kernel sections K(., q): gram is
-    # W^{-1/2} U diag(lam) U^H W^{-1/2}, so ||K(., q)||^2 = (K^+ k_q, k_q)_w
-    # keeps only the eigenpairs the solves keep
-    spec = spectral_data(kernel, cutoff_rel)
-    rank = spec.numerical_rank
-    norms_sq = np.abs(spec.eigenvectors[:, :rank]) ** 2 @ spec.eigenvalues[:rank]
-    norms = np.sqrt(norms_sq / kernel.grid.weights)
+    # W^{-1/2} S W^{-1/2}, so ||K(., q)||^2 = (K^+ k_q, k_q)_w is the diagonal
+    # of S on the eigenpairs the solves keep, over w_q
+    norms = np.sqrt(_kept_diagonal(kernel, cutoff_rel) / kernel.grid.weights)
     defect = float(np.max(np.abs(kqq - norms * sqrt_diag) / (1.0 + np.abs(kqq))))
     return ReproducingReport(
         max_residual=max_residual, max_excess=max_excess, section_equality_defect=defect

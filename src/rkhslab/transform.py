@@ -9,14 +9,14 @@ and the operator identities (factorization, isometry, round-trip inversion)
 become finite-dimensional residuals that this module measures.  Since
 ``K = L L*``, the ``InducedKernel`` that ``build_transform`` returns is the
 transform: every function here takes it, and its rank and solves read its one
-cached ``eigh`` at one cutoff.
+cached decomposition at one cutoff.
 
 Building it does no n x n work.  ``apply_forward`` and ``apply_adjoint`` are
 matvecs, ``Hᴴ (m∘F)`` and ``H (w∘g)``; only ``verify_identities``, which
 needs their product, forms the two matrices.  The gram is formed on first
 read, with its Hermitian defect, as ``Cᴴ C`` with ``C = diag(√m) H``: one
 syrk for a real map, exactly symmetric.  ``verify`` and ``analyze`` read it
-once, a square or tall ``invert`` once for its ``eigh``, and a wide
+once, a square or tall ``invert`` once for its decomposition, and a wide
 ``invert`` never.
 
 With ``B = diag(m)^{1/2} H diag(w)^{1/2}`` (|T| x |E|), the weighted induced
@@ -27,7 +27,8 @@ matrix ``R Rᴴ = V Λ Vᴴ`` yields the |T| leading eigenvalues and the
 eigenvectors ``Q V``; the other |E| - |T| eigenvalues are structural zeros.
 A square or tall transform decomposes the |E| x |E| form, which is then the
 smaller side, as any kernel does: by a certified low-rank factor when one
-applies, else densely.
+applies, by a Cholesky factor when the form is positive definite, else
+densely.
 """
 from __future__ import annotations
 
@@ -123,8 +124,8 @@ class InducedKernel(KernelMatrix):
         """Eigenpairs of ``Bᴴ B``: |E| eigenvalues and up to |E| x min(|T|, |E|) eigenvectors.
 
         A wide map takes the exact factor route with ``F = Bᴴ``; a square or
-        tall one decomposes the |E| x |E| form, by the low-rank or the dense
-        route of ``KernelMatrix.weighted_eigh``.
+        tall one decomposes the |E| x |E| form, by the low-rank, Cholesky or
+        dense route of ``KernelMatrix.weighted_eigh``.
         """
         H = self.feature.matrix
         if H.shape[0] >= H.shape[1]:
@@ -207,7 +208,7 @@ def check_injectivity(
     rank equal to the size of grid T, i.e. the feature family is total in the
     source space.  ``AᴴA`` is the weighted induced form, so the rank counts its
     eigenvalues above ``cutoff_rel * lambda_max`` (``sigma > sqrt(cutoff_rel)
-    sigma_max``) in the cached ``eigh`` the solves use.
+    sigma_max``) in the cached spectrum the solves use.
     """
     rank = spectral_data(op, cutoff_rel).numerical_rank
     m_dim = op.grid_T.size
@@ -239,7 +240,7 @@ def verify_identities(
     m = op.grid_T.weights
     w = op.grid_E.weights
     complex_mode = np.iscomplexobj(op.feature.matrix)
-    # the eigh behind the rank runs before the n x n products below exist
+    # the decomposition behind the rank runs before the n x n products below exist
     inj = check_injectivity(op, cutoff_rel)
 
     # forward Hᴴ diag(m) and adjoint H diag(w) as matrices: the factorization needs their product

@@ -1,14 +1,16 @@
 """How often each command decomposes and solves, and the batched trial suites of verify.
 
-Every command decomposes the weighted kernel form at most once (``eigh``,
-cached on the kernel) and never runs an SVD: a feature source reads its
-injectivity rank from the same ``eigh`` as its solves.  ``verify`` makes one
-batched solve for the reproducing and point-evaluation trials and, on a
-feature source, one for the transform trials; the norms of the kernel
-sections come in closed form from the cached eigenpairs, without a solve.
-Its report values must match a per-trial and per-section recomputation with
-the library's single-function routines.  An induced kernel forms its gram
-once, where it is first read, and a wide ``invert`` never does.
+Every command decomposes the weighted kernel form at most once (cached on the
+kernel) and never runs an SVD: a feature source reads its injectivity rank
+from the same decomposition as its solves.  That is one ``eigh``, or, for a
+positive definite form from n = 512, one ``cholesky`` and one ``eigvalsh``.
+``verify`` makes one batched solve for the reproducing and point-evaluation
+trials and, on a feature source, one for the transform trials; the norms of
+the kernel sections come in closed form from the cached decomposition,
+without a solve.  Its report values must match a per-trial and per-section
+recomputation with the library's single-function routines.  An induced
+kernel forms its gram once, where it is first read, and a wide ``invert``
+never does.
 """
 import sys
 
@@ -69,6 +71,21 @@ def hermitian_doc(tmp_path, n, trials=10, seed=4):
 def decompositions(monkeypatch):
     """Counts calls of ``np.linalg.svd`` and ``np.linalg.eigh``."""
     counts = {"svd": 0, "eigh": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counts calls of ``np.linalg.cholesky`` and ``np.linalg.eigvalsh``."""
+    counts = {"cholesky": 0, "eigvalsh": 0}
     for name in counts:
         original = getattr(np.linalg, name)
 
@@ -266,6 +283,36 @@ def test_full_rank_verify_runs_one_dense_eigh(eigh_shapes, decompositions):
     assert report["diagnostics"]["decomposition"] == "dense"
     assert eigh_shapes == [(1200, 1200)]
     assert decompositions == {"svd": 0, "eigh": 1}
+
+
+@pytest.mark.parametrize("n, eigh, factored", [(1200, 0, 1), (60, 1, 0)],
+                         ids=["cholesky", "below-floor"])
+def test_full_rank_verify_factors_without_eigenvectors(decompositions, factorizations,
+                                                        n, eigh, factored):
+    # midpoint brownian is positive definite: from n = 512 one Cholesky gives
+    # the solves and eigvalsh the spectrum
+    doc = kernel_doc("brownian", n)
+    doc["grids"]["E"]["rule"] = "midpoint"
+    code, report = cli.run_verify(parse_config(doc))
+    assert code == cli.EXIT_OK
+    assert report["diagnostics"]["decomposition"] == ("cholesky" if factored else "dense")
+    assert report["conditioning"]["numerical_rank"] == n
+    assert decompositions == {"svd": 0, "eigh": eigh}
+    assert factorizations == {"cholesky": factored, "eigvalsh": factored}
+
+
+@pytest.mark.parametrize("n, eigh, factored", [(600, 0, 1), (60, 1, 0)],
+                         ids=["cholesky", "below-floor"])
+def test_square_invert_factors_without_eigenvectors(tmp_path, decompositions, factorizations,
+                                                    n, eigh, factored):
+    config = parse_config(indicator_doc(n_T=n, n_E=n))
+    data = write_invert_data(tmp_path, config)
+    code, report = cli.run_invert(config, data, tmp_path / "rec.csv")
+    assert code == cli.EXIT_OK
+    assert report["diagnostics"]["decomposition"] == ("cholesky" if factored else "dense")
+    assert report["injectivity"]["injective"] is True
+    assert decompositions == {"svd": 0, "eigh": eigh}
+    assert factorizations == {"cholesky": factored, "eigvalsh": factored}
 
 
 def trial_images(kernel, config):

@@ -326,6 +326,105 @@ class TestLowRankRoute:
         assert np.max(np.abs(recon_low - recon_dense)) <= 1e-10 * np.max(np.abs(F))
 
 
+CHOLESKY_KERNELS = {
+    "brownian": lambda: rl.assemble_kernel(
+        rl.builtin_kernel("brownian"), rl.make_uniform_grid(0, 1, 1024, "midpoint")
+    ),
+    "indicator": lambda: rl.build_transform(rl.make_feature_map(
+        rl.FeatureFamily("indicator"),
+        rl.make_uniform_grid(0, 1, 600, "midpoint"),
+        rl.make_uniform_grid(0, 1, 600, "midpoint"),
+    )),
+    # D min(p, q) Dᴴ with D = diag(exp(3i p)): genuinely complex eigenvectors
+    "hermitian": lambda: rl.assemble_kernel(
+        lambda p, q: np.minimum(p, q) * np.exp(3j * (p - q)),
+        rl.make_uniform_grid(0, 1, 700, "midpoint"),
+    ),
+}
+
+
+class TestCholeskyRoute:
+    @pytest.fixture(params=CHOLESKY_KERNELS.values(), ids=CHOLESKY_KERNELS.keys())
+    def routes(self, request, monkeypatch):
+        K = request.param()
+        return K, forced_dense(monkeypatch, K)
+
+    def test_agrees_with_dense_route(self, routes):
+        K, dense = routes
+        chol, full = K.weighted_eigh, dense.weighted_eigh
+        assert (chol.decomposition, full.decomposition) == ("cholesky", "dense")
+        assert chol.eigenvectors is None and chol.certified_error == 0.0
+        n = K.size
+        lam_max = full.eigenvalues[0]
+        gap = np.max(np.abs(chol.eigenvalues - full.eigenvalues))
+        assert gap <= n * np.finfo(float).eps * lam_max
+        assert rl.spectral_data(K).numerical_rank == rl.spectral_data(dense).numerical_rank == n
+        assert rl.validate_psd(K, 1e-10).min_eigenvalue == chol.eigenvalues[-1]
+
+    def test_solves_agree_with_dense_route(self, routes):
+        K, dense = routes
+        rng = np.random.default_rng(5)
+        complex_mode = np.iscomplexobj(K.gram)
+        F = np.column_stack(
+            [random_range_function(K, rng, complex_mode).values for _ in range(6)]
+        )
+        w = K.grid.weights[:, None]
+        results = []
+        for kernel in (K, dense):
+            X, residuals = rl.kernel._solve_columns(kernel, F, 1e-12, 1e-6)
+            assert np.all(residuals == 0.0)
+            # the space Gram matrix [f_i, f_j] and the reconstruction gram W K^-1 f
+            results.append((X.T @ (w * F).conj(), kernel.gram @ (w * X)))
+        (inner_chol, recon_chol), (inner_dense, recon_dense) = results
+        assert np.max(np.abs(inner_chol - inner_dense)) <= 1e-10 * np.max(np.abs(inner_dense))
+        assert np.max(np.abs(recon_chol - recon_dense)) <= 1e-10 * np.max(np.abs(F))
+        assert np.max(np.abs(recon_chol - F)) <= np.max(np.abs(recon_dense - F))
+        assert "dense_eigh" not in vars(K)
+
+    def test_dropping_cutoff_reads_the_dense_eigh(self, monkeypatch):
+        grid = rl.make_uniform_grid(0, 1, 600, "midpoint")
+        K = rl.assemble_kernel(rl.builtin_kernel("brownian"), grid)
+        dense = forced_dense(monkeypatch, K)
+        assert K.weighted_eigh.decomposition == "cholesky"
+        F = np.column_stack(
+            [random_range_function(K, np.random.default_rng(t)).values for t in range(4)]
+        )
+        spec, dense_spec = rl.spectral_data(K, 1e-3), rl.spectral_data(dense, 1e-3)
+        assert spec.numerical_rank == dense_spec.numerical_rank < K.size
+        assert spec.L is None
+        X, residuals = rl.kernel._solve_columns(K, F, 1e-3)
+        X_dense, residuals_dense = rl.kernel._solve_columns(dense, F, 1e-3)
+        np.testing.assert_array_equal(X, X_dense)
+        np.testing.assert_array_equal(residuals, residuals_dense)
+        assert np.all(residuals > 0.0)
+        np.testing.assert_array_equal(
+            rl.kernel._kept_diagonal(K, 1e-3), rl.kernel._kept_diagonal(dense, 1e-3)
+        )
+        # the full-rank cutoff still solves through the factor
+        assert rl.spectral_data(K).L is K.weighted_eigh.L
+
+
+class TestComparison:
+    """Kernels and their spectra compare by identity and hash, without touching their arrays."""
+
+    def test_kernels_compare_by_identity(self):
+        grid = rl.make_uniform_grid(0, 1, 30, "midpoint")
+        a, b = (rl.assemble_kernel(rl.builtin_kernel("brownian"), grid) for _ in range(2))
+        assert a != b
+        assert a == a and b == b
+        assert len({a, b}) == 2
+        assert isinstance(hash(rl.spectral_data(a)), int)
+        assert isinstance(hash(a.weighted_eigh), int)
+
+    def test_induced_kernels_compare_without_forming_the_gram(self):
+        grid = rl.make_uniform_grid(0, 1, 30, "midpoint")
+        fm = rl.make_feature_map(rl.FeatureFamily("indicator"), grid, grid)
+        a, b = rl.build_transform(fm), rl.build_transform(fm)
+        assert a != b and a == a
+        assert len({a, b}) == 2
+        assert "gram" not in vars(a) and "gram" not in vars(b)
+
+
 def kernel_run_doc(name, n, **params):
     return {
         "grids": {"E": {"interval": [0.0, 1.0], "n": n, "rule": "trapezoid"}},

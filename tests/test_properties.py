@@ -186,3 +186,33 @@ def test_low_rank_route_keeps_rank_and_verdicts(source, n):
         "low_rank", "dense"
     )
     assert (rank, verdicts) == (dense_rank, dense_verdicts)
+
+
+@given(
+    a=st.floats(0.01, 2.0), length=st.floats(0.1, 4.0), n=st.integers(min_value=512, max_value=800)
+)
+@settings(max_examples=10, deadline=None)
+def test_cholesky_route_keeps_rank_and_verdicts(a, length, n):
+    # brownian on [a, a + length] with a > 0 is positive definite, and its
+    # smallest eigenvalue stays far above the 1e-12 cutoff; the forced-dense
+    # run raises the size floor above n
+    config = parse_config({
+        "grids": {"E": {"interval": [a, a + length], "n": n, "rule": "trapezoid"}},
+        "source": {"kernel": {"name": "brownian"}},
+        "trials": 10,
+        "seed": 1,
+    })
+
+    def outcome():
+        _, report = run_verify(config)
+        verdicts = {c["name"]: c["passed"] for c in report["criteria"]}
+        return report["conditioning"]["numerical_rank"], verdicts, report["diagnostics"]
+
+    rank, verdicts, diagnostics = outcome()
+    with mock.patch.object(rl.kernel, "LOW_RANK_MIN_SIZE", n + 1):
+        dense_rank, dense_verdicts, dense_diagnostics = outcome()
+    assert (diagnostics["decomposition"], dense_diagnostics["decomposition"]) == (
+        "cholesky", "dense"
+    )
+    assert (rank, verdicts) == (dense_rank, dense_verdicts)
+    assert rank == n
