@@ -2,9 +2,10 @@
 
 The kernel operator is diagonal exactly when the kernel is a weighted delta,
 ``K(p, q) = v(p) delta(p - q)``; then the space inner product collapses to a
-weighted L2 product with weight ``w = 1/v`` and the transform inverse is the
-plain adjoint.  ``check_weighted_l2`` detects that case from the assembled
-matrix; ``check_unitary_inversion`` demonstrates the consequence by comparing
+weighted L2 product with weight ``w = 1/v``, and the transform inverse is the
+adjoint in that product, ``F = L*(f / v)``.  The plain adjoint ``L* f``
+inverts the transform only when ``v ≡ 1``.  ``check_weighted_l2`` detects the
+diagonal case from the assembled matrix; ``check_unitary_inversion`` compares
 plain-adjoint inversion against adjoint-composed-with-inverse-kernel
 inversion on random data.
 """
@@ -88,8 +89,9 @@ def check_unitary_inversion(
     """Compare plain-adjoint and inverse-kernel-adjoint recovery on random data.
 
     For random sources F with images f, the adjoint composed with the inverse
-    kernel recovers F whenever the transform is injective; the plain adjoint
-    alone recovers F only in the weighted-L2 (diagonal-kernel) case.  Errors
+    kernel recovers F whenever the transform is injective.  In the weighted-L2
+    (diagonal-kernel, ``K = v·δ``) case that inverse is ``F = L*(f / v)``, so
+    the plain adjoint alone recovers F only when ``v ≡ 1``.  Errors
     are the worst relative T-grid L2 deviations over the trials drawn by
     ``verify_identities``: its ``plain_adjoint_error`` and ``roundtrip_error``.
 

@@ -273,6 +273,8 @@ def parse_config(raw: dict) -> RunConfig:
     _check_known(raw["grids"], ("E", "T"), "grids")
     _require("source" in raw, "source is required")
     source_kind, source_params = _parse_source(raw["source"])
+    if source_kind != "feature_family" and source_params.get("kind", "kernel") == "kernel":
+        _require(grid_T is None, "grids.T is not read by a kernel source; remove it")
 
     _check_params(raw.get("tolerances", {}), _TOLERANCE_DEFAULTS, "tolerances")
     tolerances = dict(_TOLERANCE_DEFAULTS)

@@ -44,8 +44,8 @@ class FeatureFamily:
 
     band: half-width of the symmetric T interval (fourier).
     sigma: feature width (gaussian).
-    modes: size of the default grid T, and the required size of grid T for
-        orthonormal_diagonal; optional.
+    modes: size of the default grid T, and the required size of an explicit
+        grid T; optional.
     weight: target diagonal of the induced operator for orthonormal_diagonal,
         as a callable of the E points or an array; defaults to 1.
     """
@@ -92,11 +92,13 @@ def _close(x: float, y: float, scale: float) -> bool:
 def make_feature_map(spec: FeatureFamily, grid_T: Grid, grid_E: Grid) -> FeatureMap:
     """Evaluate a family on a T x E grid pair.
 
-    Raises ``ValueError`` for grids incompatible with the family (indicator
-    needs T = E as intervals; fourier needs T symmetric about 0 and matching
-    the band when one is given; orthonormal_diagonal needs T at least as
-    large as E).
+    Raises ``ValueError`` for grids incompatible with the family (a given
+    mode count must equal the size of T; indicator needs T = E as intervals;
+    fourier needs T symmetric about 0 and matching the band when one is
+    given; orthonormal_diagonal needs T at least as large as E).
     """
+    if spec.modes is not None and spec.modes != grid_T.size:
+        raise ValueError(f"mode count {spec.modes} does not match grid T size {grid_T.size}")
     t = grid_T.points
     p = grid_E.points
     if spec.family == "indicator":
@@ -137,8 +139,6 @@ def _orthonormal_diagonal_map(spec: FeatureFamily, grid_T: Grid, grid_E: Grid) -
         raise ValueError(
             f"orthonormal_diagonal needs grid T at least as large as grid E ({M} < {N})"
         )
-    if spec.modes is not None and spec.modes != M:
-        raise ValueError(f"mode count {spec.modes} does not match grid T size {M}")
     v = _diagonal_weight(spec, grid_E)
     # cosine modes, then QR in the sqrt(m)-scaled coordinates for exact
     # discrete orthonormality; column signs fixed for determinism

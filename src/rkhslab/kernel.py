@@ -9,9 +9,10 @@ operator range.
 
 That decomposition takes one of four routes:
 
-* ``wide``: the kernel a wide transform induces (``transform.InducedKernel``)
-  reads the spectrum from its smaller feature side, an exact factor
-  ``S = F Fᴴ`` with fewer columns than rows, by one small ``eigh``.
+* ``wide``: when the kernel supplies an exact factor ``S = F Fᴴ`` with fewer
+  columns than rows (``KernelMatrix.exact_factor``; the kernel a wide
+  transform induces, ``transform.InducedKernel``, supplies its feature side),
+  the spectrum is read from F by one small ``eigh``.
 * ``low_rank``: at n >= ``LOW_RANK_MIN_SIZE`` a pivoted Cholesky
   ``S ≈ L Lᴴ`` is tried first (Harbrecht, Peters & Schneider 2012).  It is
   used when it needs at most n / 8 pivots, all positive, and its error
@@ -28,8 +29,9 @@ That decomposition takes one of four routes:
 * ``dense``: otherwise, or when ``S`` is not numerically positive definite,
   the n x n form is decomposed by one ``eigh``.
 
-A factor route yields eigenvectors with fewer columns than rows, and its
-remaining eigenvalues are zeros.
+``KernelMatrix.weighted_eigh`` alone chooses among the four.  A factor route
+yields eigenvectors with fewer columns than rows, and its remaining
+eigenvalues are zeros.
 """
 from __future__ import annotations
 
@@ -68,7 +70,7 @@ class WeightedEigh:
     ``||S - L Lᴴ||_F`` of the low-rank factor, and 0 on the exact routes.
     On the ``cholesky`` route ``eigenvectors`` is None and ``L`` is the
     lower-triangular factor ``S = L Lᴴ``; on every other route ``L`` is
-    None.  It unpacks as the pair ``(eigenvalues, eigenvectors)``.
+    None.
     """
 
     eigenvalues: np.ndarray
@@ -76,9 +78,6 @@ class WeightedEigh:
     decomposition: str
     certified_error: float
     L: np.ndarray | None = None
-
-    def __iter__(self):
-        return iter((self.eigenvalues, self.eigenvectors))
 
 
 def _factor_eigh(factor: np.ndarray, decomposition: str, error: float = 0.0) -> WeightedEigh:
@@ -138,8 +137,6 @@ def _pivoted_cholesky(S: np.ndarray, max_rank: int) -> np.ndarray | None:
 def _low_rank_eigh(S: np.ndarray) -> WeightedEigh | None:
     """The ``low_rank`` route for ``S``, or None when one of its conditions fails."""
     n_dim = S.shape[0]
-    if n_dim < LOW_RANK_MIN_SIZE:
-        return None
     L = _pivoted_cholesky(S, n_dim // 8)
     if L is None:
         return None
@@ -162,21 +159,33 @@ def _dense_eigh(S: np.ndarray) -> WeightedEigh:
     return WeightedEigh(lam[order], U[:, order], "dense", 0.0)
 
 
-@dataclass(eq=False)
 class KernelMatrix:
     """Hermitian matrix of kernel values over one grid.
 
-    ``gram[i, j]`` holds ``K(p_i, p_j)``.  The matrix is symmetrized on
-    construction and the pre-symmetrization defect is recorded.
+    ``gram[i, j]`` holds ``K(p_i, p_j)``.  The matrix is symmetrized before
+    it is stored, and ``hermitian_gram`` holds it with the
+    pre-symmetrization defect.  Kernels compare and hash by identity.
     """
 
-    grid: Grid
-    gram: np.ndarray
-    hermitian_defect: float
+    def __init__(self, grid: Grid, gram: np.ndarray, hermitian_defect: float):
+        self.grid = grid
+        self.hermitian_gram = gram, hermitian_defect
+
+    @property
+    def gram(self) -> np.ndarray:
+        return self.hermitian_gram[0]
+
+    @property
+    def hermitian_defect(self) -> float:
+        return self.hermitian_gram[1]
 
     @property
     def size(self) -> int:
         return self.grid.size
+
+    def exact_factor(self) -> np.ndarray | None:
+        """An exact factor F of ``S = F Fᴴ`` with fewer columns than rows, or None."""
+        return None
 
     def _weighted_form(self) -> np.ndarray:
         """``S = sqrt(W) gram sqrt(W)``, exactly Hermitian, as a new array."""
@@ -191,17 +200,21 @@ class KernelMatrix:
     def weighted_eigh(self) -> WeightedEigh:
         """Eigenvalues of ``S = sqrt(W) gram sqrt(W)``, descending; computed once, on first use.
 
-        The ``low_rank`` route is tried first, then the ``cholesky`` route,
-        and the dense ``eigh`` runs when neither applies; see the module
-        docstring.  The result holds eigenvectors or, on the ``cholesky``
-        route, the factor ``L``, which takes their place in memory: ``S``
-        itself is not kept.
+        This is where the route is chosen (see the module docstring): the
+        ``wide`` route when ``exact_factor`` supplies one, else from
+        ``LOW_RANK_MIN_SIZE`` the ``low_rank``, then the ``cholesky`` route,
+        and the dense ``eigh`` when none applies.  The result holds
+        eigenvectors or, on the ``cholesky`` route, the factor ``L``, which
+        takes their place in memory: ``S`` itself is not kept.
         """
+        factor = self.exact_factor()
+        if factor is not None:
+            return _factor_eigh(factor, "wide")
         S = self._weighted_form()
-        low_rank = _low_rank_eigh(S)
-        if low_rank is not None:
-            return low_rank
         if S.shape[0] >= LOW_RANK_MIN_SIZE:
+            low_rank = _low_rank_eigh(S)
+            if low_rank is not None:
+                return low_rank
             try:
                 L = np.linalg.cholesky(S)
             except np.linalg.LinAlgError:
@@ -397,8 +410,7 @@ def validate_psd(K: KernelMatrix, tol_psd: float) -> PsdReport:
     factor's spectrum), not a computed eigenvalue; the gate is the same.  On
     the ``cholesky`` route it is ``eigvalsh``'s.
     """
-    lam, _ = K.weighted_eigh
-    min_eig = float(lam[-1])
+    min_eig = float(K.weighted_eigh.eigenvalues[-1])
     return PsdReport(passed=min_eig >= -tol_psd, min_eigenvalue=min_eig)
 
 

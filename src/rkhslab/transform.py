@@ -20,15 +20,12 @@ once, a square or tall ``invert`` once for its decomposition, and a wide
 ``invert`` never.
 
 With ``B = diag(m)^{1/2} H diag(w)^{1/2}`` (|T| x |E|), the weighted induced
-form is ``S = Bᴴ B``.  When |T| < |E| that spectrum is read from the |T| side
-by ``kernel._factor_eigh`` with the exact factor ``Bᴴ``: a thin QR
-``Bᴴ = Q R`` gives ``S = Q (R Rᴴ) Qᴴ``, so one ``eigh`` of the |T| x |T|
-matrix ``R Rᴴ = V Λ Vᴴ`` yields the |T| leading eigenvalues and the
-eigenvectors ``Q V``; the other |E| - |T| eigenvalues are structural zeros.
-A square or tall transform decomposes the |E| x |E| form, which is then the
-smaller side, as any kernel does: by a certified low-rank factor when one
-applies, by a Cholesky factor when the form is positive definite, else
-densely.
+form is ``S = Bᴴ B``.  The kernel only supplies what it knows: the gram and,
+when |T| < |E|, the exact factor ``Bᴴ`` (``InducedKernel.exact_factor``).
+``KernelMatrix.weighted_eigh`` chooses the route, as for any kernel: a wide
+map's spectrum comes from one |T| x |T| ``eigh`` (the ``wide`` route), and a
+square or tall map's |E| x |E| form, then the smaller side, is decomposed
+like any other gram's.
 """
 from __future__ import annotations
 
@@ -43,8 +40,6 @@ from .kernel import (
     DEFAULT_CUTOFF_REL,
     DEFAULT_RANGE_TOL,
     KernelMatrix,
-    WeightedEigh,
-    _factor_eigh,
     _hermitian_gram,
     _solve_columns,
     condition_number,
@@ -74,42 +69,27 @@ class FeatureMap:
 class InducedKernel(KernelMatrix):
     """The kernel ``Hᴴ diag(m) H`` a feature map induces on grid E, and its transform.
 
-    It refers to its feature map, which it does not copy, so a wide map
-    (|T| < |E|) decomposes its |T| x |T| side; see the module docstring.
-    ``gram`` and ``hermitian_defect`` are formed together at the first read
-    of either, as ``Cᴴ C`` with ``C = diag(√m) H``; a wide ``invert`` reads
-    neither.  A gram, or a wide map's ``R Rᴴ``, that overflows raises
-    ``ValueError`` ("kernel produced non-finite values") where it is formed.
+    It refers to its feature map, which it does not copy.  A wide map
+    (|T| < |E|) supplies the exact factor ``Bᴴ``, so ``weighted_eigh``
+    decomposes its |T| x |T| side; see the module docstring.  ``gram`` and
+    ``hermitian_defect`` are formed together at the first read of either, as
+    ``Cᴴ C`` with ``C = diag(√m) H``; a wide ``invert`` reads neither.  A
+    gram, or a wide map's ``R Rᴴ``, that overflows raises ``ValueError``
+    ("kernel produced non-finite values") where it is formed.
     """
 
     def __init__(self, feature: FeatureMap):
         self.grid = feature.grid_E
         self.feature = feature
 
-    def __repr__(self) -> str:
-        return f"InducedKernel(feature={self.feature!r})"
-
-    @property
-    def gram(self) -> np.ndarray:
-        return self._formed("gram")
-
-    @property
-    def hermitian_defect(self) -> float:
-        return self._formed("hermitian_defect")
-
-    def _formed(self, name: str):
-        """The gram or its defect, both formed and cached at the first read of either."""
-        cache = vars(self)
-        if name not in cache:
-            C = np.sqrt(self.feature.grid_T.weights)[:, None] * self.feature.matrix
-            # a real C makes this a syrk, exactly symmetric; an overflow is
-            # reported as non-finite values by ``_hermitian_gram``
-            with np.errstate(over="ignore", invalid="ignore"):
-                product = C.conj().T @ C
-            cache["gram"], cache["hermitian_defect"] = _hermitian_gram(
-                product, self.grid, owned=True
-            )
-        return cache[name]
+    @cached_property
+    def hermitian_gram(self) -> tuple[np.ndarray, float]:
+        C = np.sqrt(self.feature.grid_T.weights)[:, None] * self.feature.matrix
+        # a real C makes this a syrk, exactly symmetric; an overflow is
+        # reported as non-finite values by ``_hermitian_gram``
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = C.conj().T @ C
+        return _hermitian_gram(product, self.grid, owned=True)
 
     @property
     def grid_T(self) -> Grid:
@@ -119,20 +99,14 @@ class InducedKernel(KernelMatrix):
     def grid_E(self) -> Grid:
         return self.grid
 
-    @cached_property
-    def weighted_eigh(self) -> WeightedEigh:
-        """Eigenpairs of ``Bᴴ B``: |E| eigenvalues and up to |E| x min(|T|, |E|) eigenvectors.
-
-        A wide map takes the exact factor route with ``F = Bᴴ``; a square or
-        tall one decomposes the |E| x |E| form, by the low-rank, Cholesky or
-        dense route of ``KernelMatrix.weighted_eigh``.
-        """
+    def exact_factor(self) -> np.ndarray | None:
+        """``Bᴴ = (diag(√m) H diag(√w))ᴴ`` for a wide map; None for a square or tall one."""
         H = self.feature.matrix
         if H.shape[0] >= H.shape[1]:
-            return super().weighted_eigh
+            return None
         sm = np.sqrt(self.feature.grid_T.weights)
         sw = np.sqrt(self.grid.weights)
-        return _factor_eigh((sm[:, None] * H * sw[None, :]).conj().T, "wide")
+        return (sm[:, None] * H * sw[None, :]).conj().T
 
 
 @dataclass(frozen=True)

@@ -263,6 +263,35 @@ def test_config_error_names_the_field(tmp_path, capsys, doc, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["kernel", "csv"])
+def test_t_grid_on_kernel_source_is_config_error(tmp_path, capsys, source):
+    doc = kernel_config("brownian", n=50)
+    if source == "csv":
+        grid = rl.make_uniform_grid(0.0, 1.0, 50, "trapezoid")
+        path = tmp_path / "kernel.csv"
+        save_matrix_csv(rl.assemble_kernel(rl.builtin_kernel("brownian"), grid).gram, path, "real")
+        doc["source"] = {"csv": {"kind": "kernel", "path": str(path), "mode": "real"}}
+    assert main(["verify", "--config", str(write_config(tmp_path, doc))]) == 0
+    doc["grids"]["T"] = {"interval": [0.0, 1.0], "n": 7, "rule": "trapezoid"}
+    assert main(["verify", "--config", str(write_config(tmp_path, doc))]) == 2
+    assert "grids.T is not read by a kernel source" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, params, interval", [
+    ("fourier", {"band": 3.0}, [-3.0, 3.0]),
+    ("indicator", {}, [0.0, 1.0]),
+    ("gaussian", {"sigma": 0.1}, [-0.8, 1.8]),
+], ids=["fourier", "indicator", "gaussian"])
+@pytest.mark.parametrize("modes, code", [(7, 2), (40, 0)], ids=["mismatched", "matching"])
+def test_modes_must_match_explicit_t_grid(tmp_path, capsys, family, params, interval, modes, code):
+    doc = _family(family, {**params, "modes": modes})
+    doc["grids"]["T"] = {"interval": interval, "n": 40, "rule": "midpoint"}
+    doc["trials"] = 5
+    assert main(["analyze", "--config", str(write_config(tmp_path, doc))]) == code
+    if code == 2:
+        assert "mode count 7 does not match grid T size 40" in capsys.readouterr().err
+
+
 def test_misspelled_csv_key_is_config_error(tmp_path, capsys):
     grid = rl.make_uniform_grid(0.0, 1.0, 40, "trapezoid")
     path = tmp_path / "kernel.csv"

@@ -253,7 +253,40 @@ def test_induced_gram_formed_once_where_read(tmp_path, monkeypatch, gram_builds,
     formed = 0 if (command, n_T) == ("invert", 30) else 1
     assert gram_builds == [(60, 60)] * formed
     (op,) = built_ops
-    assert ("gram" in vars(op)) is bool(formed)
+    assert ("hermitian_gram" in vars(op)) is bool(formed)
+
+
+def induced_kernel(family, n_T, n_E, **params):
+    """The transform of a built-in family, T on the family's default interval for E = [0, 1]."""
+    spec = rl.FeatureFamily(family, **params)
+    grid_E = rl.make_uniform_grid(0.0, 1.0, n_E, "midpoint")
+    a, b = rl.recommended_t_interval(spec, grid_E.interval)
+    grid_T = rl.make_uniform_grid(a, b, n_T, "midpoint")
+    return rl.build_transform(rl.make_feature_map(spec, grid_T, grid_E))
+
+
+@pytest.mark.parametrize("family, n_T, n_E, params, route", [
+    ("indicator", 600, 600, {}, "cholesky"),
+    ("gaussian", 600, 600, {"sigma": 0.1}, "low_rank"),
+    ("gaussian", 700, 600, {"sigma": 0.1}, "low_rank"),
+    ("indicator", 60, 60, {}, "dense"),
+    ("fourier", 80, 60, {"band": 20.0}, "dense"),
+], ids=["indicator-600", "gaussian-600", "gaussian-700x600", "indicator-60", "fourier-80x60"])
+def test_square_or_tall_induced_kernel_decomposes_as_its_gram(family, n_T, n_E, params, route):
+    # the route is chosen in one place: an induced kernel without an exact
+    # factor takes the one its gram would take, with the same arithmetic
+    op = induced_kernel(family, n_T, n_E, **params)
+    K = rl.kernel_from_gram(op.gram, op.grid_E)
+    assert op.weighted_eigh.decomposition == K.weighted_eigh.decomposition == route
+    np.testing.assert_array_equal(op.weighted_eigh.eigenvalues, K.weighted_eigh.eigenvalues)
+    assert rl.spectral_data(op).numerical_rank == rl.spectral_data(K).numerical_rank
+
+
+@pytest.mark.parametrize("n_T, n_E", [(30, 60), (300, 600)])
+def test_wide_induced_kernel_takes_the_wide_route_at_every_size(n_T, n_E):
+    eig = induced_kernel("indicator", n_T, n_E).weighted_eigh
+    assert (eig.decomposition, eig.certified_error) == ("wide", 0.0)
+    assert eig.eigenvectors.shape == (n_E, n_T)
 
 
 def test_wide_verify_one_eigh_on_the_feature_side(eigh_shapes, decompositions):

@@ -422,7 +422,7 @@ class TestComparison:
         a, b = rl.build_transform(fm), rl.build_transform(fm)
         assert a != b and a == a
         assert len({a, b}) == 2
-        assert "gram" not in vars(a) and "gram" not in vars(b)
+        assert "hermitian_gram" not in vars(a) and "hermitian_gram" not in vars(b)
 
 
 def kernel_run_doc(name, n, **params):

@@ -216,3 +216,39 @@ def test_cholesky_route_keeps_rank_and_verdicts(a, length, n):
     )
     assert (rank, verdicts) == (dense_rank, dense_verdicts)
     assert rank == n
+
+
+#: translation-invariant sources: kernels of p - q, and indicator features with T = E
+SHIFTED_SOURCES = {
+    "gaussian": {"kernel": {"name": "gaussian"}},
+    "sinc": {"kernel": {"name": "sinc"}},
+    "constant": {"kernel": {"name": "constant"}},
+    "indicator": {"feature_family": {"family": "indicator"}},
+}
+
+
+@given(
+    name=st.sampled_from(sorted(SHIFTED_SOURCES)),
+    n=st.sampled_from([60, 200, 600]),
+    rule=st.sampled_from(["midpoint", "trapezoid"]),
+    shift=st.floats(-10.0, 15.0),
+)
+@settings(max_examples=20, deadline=None)
+@example(name="gaussian", n=600, rule="trapezoid", shift=13.0)
+@example(name="indicator", n=600, rule="midpoint", shift=-7.3)
+def test_verdicts_invariant_under_translation(name, n, rule, shift):
+    # moving the interval moves no quadrature weight and no kernel value
+    # beyond roundoff, so no verdict, rank or route may change
+    source = SHIFTED_SOURCES[name]
+
+    def outcome(a):
+        grid = {"interval": [a, a + 1.0], "n": n, "rule": rule}
+        grids = {"E": grid, "T": grid} if "feature_family" in source else {"E": grid}
+        code, report = run_verify(parse_config(
+            {"grids": grids, "source": source, "trials": 5, "seed": 1}
+        ))
+        verdicts = {c["name"]: c["passed"] for c in report["criteria"]}
+        return (code, verdicts, report["conditioning"]["numerical_rank"],
+                report["injectivity"], report["diagnostics"]["decomposition"])
+
+    assert outcome(shift) == outcome(0.0)
