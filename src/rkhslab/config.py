@@ -3,12 +3,15 @@
 A run declares grids, one source (built-in kernel, feature family, or CSV
 matrices), tolerances, trial count and seed.  Density expressions are limited
 to a whitelist of named forms so configs stay bit-exactly reproducible.  Every
-object rejects unknown fields and every parameter must be a JSON number.  For
-a feature source the built kernel is the transform's ``InducedKernel``.
+object rejects unknown fields and every parameter must be a JSON number that
+is finite as a float: ``NaN``, ``Infinity`` and a literal beyond the float
+range such as ``1e309`` are config errors.  For a feature source the built
+kernel is the transform's ``InducedKernel``.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -158,15 +161,23 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that is finite as a float: not ``NaN``, ``Infinity`` or ``1e309``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
 
 
 def _check_params(raw, known, field: str) -> None:
-    """A ``params`` object: known keys only, each value a JSON number."""
+    """A ``params`` object: known keys only, each value a finite JSON number."""
     _require_object(raw, field)
     _check_known(raw, known, field)
     for key, value in raw.items():
-        _require(_is_number(value), f"{field}.{key} must be a number")
+        _require(
+            _is_number(value), f"{field}.{key} must be a number, finite and within the float range"
+        )
 
 
 def _parse_density(raw, field: str) -> tuple[str, dict]:
@@ -190,10 +201,11 @@ def _parse_grid(raw, label: str) -> GridSpec:
     _require(
         isinstance(interval, (list, tuple)) and len(interval) == 2
         and all(_is_number(x) for x in interval),
-        f"grids.{label}.interval must be a pair of numbers [a, b]",
+        f"grids.{label}.interval must be a pair of numbers [a, b] within the float range",
     )
     a, b = float(interval[0]), float(interval[1])
     _require(a < b, f"grids.{label}.interval must have a < b")
+    _require(math.isfinite(b - a), f"grids.{label}.interval must have a finite width b - a")
     _require("n" in raw, f"grids.{label}.n is required")
     n = raw["n"]
     _require(_is_int(n) and n >= 1, f"grids.{label}.n must be an integer >= 1")
@@ -240,6 +252,11 @@ def _parse_source(raw) -> tuple[str, dict]:
         _check_known(params, fields, "source.feature_family")
         numeric = [key for key in known if key != "weight"]
         _check_params(params.get("params", {}), numeric, "source.feature_family.params")
+        modes = params.get("params", {}).get("modes", 1)
+        _require(
+            _is_int(modes) and modes >= 1,
+            "source.feature_family.params.modes must be an integer >= 1",
+        )
         if params.get("weight") is not None:
             _parse_density(params["weight"], "source.feature_family.weight")
     else:

@@ -9,10 +9,17 @@ operator range.
 
 That decomposition takes one of four routes:
 
-* ``wide``: when the kernel supplies an exact factor ``S = F Fᴴ`` with fewer
-  columns than rows (``KernelMatrix.exact_factor``; the kernel a wide
-  transform induces, ``transform.InducedKernel``, supplies its feature side),
-  the spectrum is read from F by one small ``eigh``.
+* ``wide``: when the kernel supplies an exact factor ``S = F Fᴴ`` with
+  r < n columns (``KernelMatrix.exact_factor``; the kernel a wide transform
+  induces, ``transform.InducedKernel``, supplies its feature side), the
+  spectrum is read from the r x r side.  From r >= ``LOW_RANK_MIN_SIZE`` a
+  Cholesky ``G = Fᴴ F = L Lᴴ`` is tried first (Golub & Van Loan, *Matrix
+  Computations*, §4.2): when it succeeds the r nonzero eigenvalues come from
+  ``eigvalsh(G)`` and no eigenvectors are formed, since at a cutoff that
+  keeps all r the pseudo-inverse is ``F G⁻² Fᴴ``.  Below that size, or
+  when ``G`` is not numerically positive definite, a thin QR of F and one
+  r x r ``eigh`` give the eigenpairs; a cutoff that drops one of the r
+  reads them, run then, once (``KernelMatrix.dense_eigh``).
 * ``low_rank``: at n >= ``LOW_RANK_MIN_SIZE`` a pivoted Cholesky
   ``S ≈ L Lᴴ`` is tried first (Harbrecht, Peters & Schneider 2012).  It is
   used when it needs at most n / 8 pivots, all positive, and its error
@@ -30,8 +37,8 @@ That decomposition takes one of four routes:
   the n x n form is decomposed by one ``eigh``.
 
 ``KernelMatrix.weighted_eigh`` alone chooses among the four.  A factor route
-yields eigenvectors with fewer columns than rows, and its remaining
-eigenvalues are zeros.
+yields eigenvectors with fewer columns than rows, or the wide Cholesky factor
+in their place, and its remaining eigenvalues are zeros.
 """
 from __future__ import annotations
 
@@ -54,7 +61,7 @@ DEFAULT_CUTOFF_REL = 1e-12
 #: default relative residual above which a solve reports a range violation
 DEFAULT_RANGE_TOL = 1e-6
 
-#: smallest form size at which the low-rank, then the Cholesky route run before the dense ``eigh``
+#: smallest decomposed side (n, or r of a wide factor) at which the Cholesky routes are tried
 LOW_RANK_MIN_SIZE = 512
 
 #: the pivoted Cholesky stops once every residual diagonal is at most this times the largest diagonal
@@ -68,9 +75,11 @@ class WeightedEigh:
     ``decomposition`` names the route: ``"dense"``, ``"wide"``,
     ``"low_rank"`` or ``"cholesky"``.  ``certified_error`` is
     ``||S - L Lᴴ||_F`` of the low-rank factor, and 0 on the exact routes.
-    On the ``cholesky`` route ``eigenvectors`` is None and ``L`` is the
-    lower-triangular factor ``S = L Lᴴ``; on every other route ``L`` is
-    None.
+    When the Cholesky factor takes the eigenvectors' place, ``eigenvectors``
+    is None and ``L`` is lower-triangular: on the ``cholesky`` route
+    ``S = L Lᴴ``, and on the ``wide`` route ``G = Fᴴ F = L Lᴴ`` for the
+    exact n x r factor ``S = F Fᴴ`` held in ``F``.  Otherwise ``L`` and
+    ``F`` are None.
     """
 
     eigenvalues: np.ndarray
@@ -78,6 +87,33 @@ class WeightedEigh:
     decomposition: str
     certified_error: float
     L: np.ndarray | None = None
+    F: np.ndarray | None = None
+
+
+def _finite_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, raising ``ValueError`` when it does not fit the float range."""
+    # an overflow here is a kernel beyond the float range, as in ``_hermitian_gram``
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = a @ b
+    if not np.all(np.isfinite(product)):
+        raise ValueError("kernel produced non-finite values")
+    return product
+
+
+def _hermitian_part(A: np.ndarray) -> np.ndarray:
+    """``(A + Aᴴ) / 2``, written over ``A``, which must be a square array of the caller's own."""
+    # halving first cannot overflow; the overlapping transpose is read before A is written
+    A *= 0.5
+    A += A.conj().T
+    return A
+
+
+def _with_zeros(lam: np.ndarray, n_dim: int) -> np.ndarray:
+    """The r descending eigenvalues of a factor's r x r side, with the n - r zeros of ``F Fᴴ``.
+
+    The zeros are sorted in after the positive eigenvalues.
+    """
+    return np.insert(lam, np.count_nonzero(lam > 0), np.zeros(n_dim - lam.size))
 
 
 def _factor_eigh(factor: np.ndarray, decomposition: str, error: float = 0.0) -> WeightedEigh:
@@ -92,17 +128,29 @@ def _factor_eigh(factor: np.ndarray, decomposition: str, error: float = 0.0) -> 
     """
     n_dim, r_dim = factor.shape
     Q, R = np.linalg.qr(factor)
-    # an overflow here is a kernel beyond the float range, as in ``_hermitian_gram``
-    with np.errstate(over="ignore", invalid="ignore"):
-        small = R @ R.conj().T
-    if not np.all(np.isfinite(small)):
-        raise ValueError("kernel produced non-finite values")
-    lam, V = np.linalg.eigh(small)
+    lam, V = np.linalg.eigh(_finite_product(R, R.conj().T))
     order = np.arange(r_dim - 1, -1, -1)
-    lam = lam[order]
-    lam = np.insert(lam, np.count_nonzero(lam > 0), np.zeros(n_dim - r_dim))
+    lam = _with_zeros(lam[order], n_dim)
     lam[-1] -= error
     return WeightedEigh(lam, Q @ V[:, order], decomposition, error)
+
+
+def _cholesky_eigh(A: np.ndarray, F: np.ndarray | None = None) -> WeightedEigh | None:
+    """Eigenvalues of ``S`` from ``eigvalsh``, with a Cholesky factor in place of eigenvectors.
+
+    ``A`` is ``S`` itself (the ``cholesky`` route), or, with ``F`` given, the
+    gram ``G = Fᴴ F`` of an exact factor ``S = F Fᴴ``, whose r eigenvalues
+    are the nonzero ones of ``S`` (the ``wide`` route).  Returns None when
+    ``A`` is not numerically positive definite.
+    """
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    lam = np.linalg.eigvalsh(A)[::-1]
+    if F is None:
+        return WeightedEigh(lam, None, "cholesky", 0.0, L)
+    return WeightedEigh(_with_zeros(lam, F.shape[0]), None, "wide", 0.0, L, F)
 
 
 def _pivoted_cholesky(S: np.ndarray, max_rank: int) -> np.ndarray | None:
@@ -190,46 +238,49 @@ class KernelMatrix:
     def _weighted_form(self) -> np.ndarray:
         """``S = sqrt(W) gram sqrt(W)``, exactly Hermitian, as a new array."""
         sw = np.sqrt(self.grid.weights)
-        S = sw[:, None] * self.gram * sw[None, :]
-        # halving first cannot overflow; the overlapping transpose is read before S is written
-        S *= 0.5
-        S += S.conj().T
-        return S
+        return _hermitian_part(sw[:, None] * self.gram * sw[None, :])
 
     @cached_property
     def weighted_eigh(self) -> WeightedEigh:
         """Eigenvalues of ``S = sqrt(W) gram sqrt(W)``, descending; computed once, on first use.
 
         This is where the route is chosen (see the module docstring): the
-        ``wide`` route when ``exact_factor`` supplies one, else from
-        ``LOW_RANK_MIN_SIZE`` the ``low_rank``, then the ``cholesky`` route,
-        and the dense ``eigh`` when none applies.  The result holds
-        eigenvectors or, on the ``cholesky`` route, the factor ``L``, which
+        ``wide`` route when ``exact_factor`` supplies one, else the
+        ``low_rank``, then the ``cholesky`` route, and the dense ``eigh``
+        when neither applies.  The pivoted and full Cholesky attempts run
+        from ``LOW_RANK_MIN_SIZE`` on the side decomposed: r for a wide
+        factor, whose thin QR runs otherwise, and n for any other kernel.
+        The result holds eigenvectors or a Cholesky factor ``L``, which
         takes their place in memory: ``S`` itself is not kept.
         """
         factor = self.exact_factor()
+        S = self._weighted_form() if factor is None else None
+        side = self.size if factor is None else factor.shape[1]
+        if side >= LOW_RANK_MIN_SIZE:
+            if factor is None:
+                eig = _low_rank_eigh(S) or _cholesky_eigh(S)
+            else:
+                G = _hermitian_part(_finite_product(factor.conj().T, factor))
+                eig = _cholesky_eigh(G, factor)
+            if eig is not None:
+                return eig
+        # not numerically positive definite, or below the floor: eigenvectors decide
         if factor is not None:
             return _factor_eigh(factor, "wide")
-        S = self._weighted_form()
-        if S.shape[0] >= LOW_RANK_MIN_SIZE:
-            low_rank = _low_rank_eigh(S)
-            if low_rank is not None:
-                return low_rank
-            try:
-                L = np.linalg.cholesky(S)
-            except np.linalg.LinAlgError:
-                pass  # not numerically positive definite: the dense eigh decides
-            else:
-                return WeightedEigh(np.linalg.eigvalsh(S)[::-1], None, "cholesky", 0.0, L)
         return _dense_eigh(S)
 
     @cached_property
     def dense_eigh(self) -> WeightedEigh:
-        """The dense ``eigh`` of ``S``, formed anew; computed once, on first use.
+        """The eigenpairs of ``S`` with eigenvectors, formed anew; computed once, on first use.
 
-        Only ``spectral_data`` reads it, at a cutoff that drops an eigenvalue
-        of a form the ``cholesky`` route decomposed.
+        That is the dense ``eigh`` of ``S`` or, for a kernel with an exact
+        factor, the ``wide`` route's thin QR and small ``eigh``.  Only
+        ``spectral_data`` reads it, at a cutoff that drops an eigenvalue the
+        Cholesky factor of ``weighted_eigh`` inverts.
         """
+        factor = self.exact_factor()
+        if factor is not None:
+            return _factor_eigh(factor, "wide")
         return _dense_eigh(self._weighted_form())
 
 
@@ -248,11 +299,15 @@ class SpectralData:
     eigenvalue is not computed but a certified lower bound, lowered by the
     factor's error (``KernelMatrix.weighted_eigh``).
 
-    On the ``cholesky`` route, when the cutoff keeps all n eigenvalues,
-    ``eigenvectors`` is None and ``L`` is the Cholesky factor ``S = L Lᴴ``,
-    through which the solves run; the eigenvalues are ``eigvalsh``'s.  At a
-    cutoff that drops one, every field comes from the dense ``eigh``
-    (``KernelMatrix.dense_eigh``) and ``L`` is None, as on every other route.
+    When a Cholesky factor stands in for the eigenvectors and the cutoff
+    keeps every eigenvalue it inverts, ``eigenvectors`` is None and the
+    solves run through ``L``; the eigenvalues are ``eigvalsh``'s.  On the
+    ``cholesky`` route that is all n eigenvalues and ``S = L Lᴴ``; on the
+    ``wide`` route it is the r nonzero ones, ``F`` is the exact factor
+    ``S = F Fᴴ`` and ``G = Fᴴ F = L Lᴴ``.  At a cutoff that drops one, every
+    field comes from the decomposition with eigenvectors
+    (``KernelMatrix.dense_eigh``) and ``L`` and ``F`` are None, as on every
+    other route.
     """
 
     eigenvalues: np.ndarray
@@ -260,6 +315,7 @@ class SpectralData:
     cutoff: float
     numerical_rank: int
     L: np.ndarray | None = None
+    F: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -370,8 +426,8 @@ def spectral_data(K: KernelMatrix, cutoff_rel: float = DEFAULT_CUTOFF_REL) -> Sp
     if not 0 < cutoff_rel < 1:
         raise ValueError("cutoff_rel must lie in (0, 1)")
     spec = _truncated(K.weighted_eigh, cutoff_rel)
-    if spec.L is not None and spec.numerical_rank < K.size:
-        # the Cholesky factor inverts the whole form only: dropping needs eigenvectors
+    if spec.L is not None and spec.numerical_rank < spec.L.shape[0]:
+        # a Cholesky factor inverts its whole matrix only: dropping needs eigenvectors
         spec = _truncated(K.dense_eigh, cutoff_rel)
     return spec
 
@@ -383,7 +439,7 @@ def _truncated(eig: WeightedEigh, cutoff_rel: float) -> SpectralData:
     rank = int(np.count_nonzero(lam > cutoff))
     return SpectralData(
         eigenvalues=lam, eigenvectors=eig.eigenvectors, cutoff=cutoff, numerical_rank=rank,
-        L=eig.L,
+        L=eig.L, F=eig.F,
     )
 
 
@@ -391,12 +447,14 @@ def _kept_diagonal(K: KernelMatrix, cutoff_rel: float = DEFAULT_CUTOFF_REL) -> n
     """Diagonal of the weighted form restricted to the eigenpairs the cutoff keeps.
 
     It is ``sum_{k < rank} lam_k |U[q, k]|^2`` over the kept eigenpairs, or,
-    when the ``cholesky`` route keeps them all, ``(L Lᴴ)_qq``, the squared
-    row norms of ``L``; in exact arithmetic the two agree.  O(n rank) work.
+    when a Cholesky factor keeps them all, the squared row norms of the
+    factor of ``S``: ``(L Lᴴ)_qq`` on the ``cholesky`` route, ``(F Fᴴ)_qq``
+    on the ``wide`` one.  In exact arithmetic the two agree.  O(n rank) work.
     """
     spec = spectral_data(K, cutoff_rel)
     if spec.L is not None:
-        return np.einsum("ij,ij->i", spec.L, spec.L.conj()).real
+        factor = spec.L if spec.F is None else spec.F
+        return np.einsum("ij,ij->i", factor, factor.conj()).real
     rank = spec.numerical_rank
     return np.abs(spec.eigenvectors[:, :rank]) ** 2 @ spec.eigenvalues[:rank]
 
@@ -461,33 +519,45 @@ def _solve_columns(
     the residual of the first column above ``range_tol``, unless it is None.
     When the ``cholesky`` route keeps every eigenvalue nothing is dropped,
     the residuals are 0, and ``S y = sqrt(W) rhs`` is solved with ``L``.
+    When the ``wide`` route keeps every nonzero one, ``S = F Fᴴ`` with
+    ``G = Fᴴ F = L Lᴴ``: the pseudo-inverse is ``F G⁻² Fᴴ``, and
+    ``F G⁻¹ Fᴴ`` projects onto the range.
     """
     spec = spectral_data(K, cutoff_rel)
     sw = np.sqrt(K.grid.weights)
     single = rhs.ndim == 1
     cols = rhs[:, None] if single else rhs
     weighted = sw[:, None] * cols
-    if spec.L is not None:
+    if spec.L is not None and spec.F is None:
         x = _cholesky_solve(spec.L, weighted) / sw[:, None]
         residuals = np.zeros(weighted.shape[1])
     else:
-        lam, U = spec.eigenvalues, spec.eigenvectors
+        lam, U, F = spec.eigenvalues, spec.eigenvectors, spec.F
         rank = spec.numerical_rank
-        coeffs = U.conj().T @ weighted
-        if U.shape[1] == U.shape[0]:
-            total = np.linalg.norm(coeffs, axis=0)
-            dropped = np.linalg.norm(coeffs[rank:, :], axis=0)
-        else:
-            # U spans only part of the space: measure what the kept columns leave out
+        if F is not None:
+            # G⁻¹ Fᴴ y: F times it is the part of y in the range
+            coeffs = _cholesky_solve(spec.L, F.conj().T @ weighted)
             total = np.linalg.norm(weighted, axis=0)
-            dropped = np.linalg.norm(weighted - U[:, :rank] @ coeffs[:rank], axis=0)
+            dropped = np.linalg.norm(weighted - F @ coeffs, axis=0)
+        else:
+            coeffs = U.conj().T @ weighted
+            if U.shape[1] == U.shape[0]:
+                total = np.linalg.norm(coeffs, axis=0)
+                dropped = np.linalg.norm(coeffs[rank:, :], axis=0)
+            else:
+                # U spans only part of the space: measure what the kept columns leave out
+                total = np.linalg.norm(weighted, axis=0)
+                dropped = np.linalg.norm(weighted - U[:, :rank] @ coeffs[:rank], axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             residuals = np.where(total > 0, dropped / total, 0.0)
         if range_tol is not None and np.any(residuals > range_tol):
             first = float(residuals[np.argmax(residuals > range_tol)])
             raise RangeViolationError(first, range_tol)
-        # at rank 0 the empty product is the zero solution
-        x = (U[:, :rank] @ (coeffs[:rank] / lam[:rank, None])) / sw[:, None]
+        if F is not None:
+            x = (F @ _cholesky_solve(spec.L, coeffs)) / sw[:, None]
+        else:
+            # at rank 0 the empty product is the zero solution
+            x = (U[:, :rank] @ (coeffs[:rank] / lam[:rank, None])) / sw[:, None]
     if single:
         return x[:, 0], float(residuals[0])
     return x, residuals

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -300,6 +301,56 @@ def test_misspelled_csv_key_is_config_error(tmp_path, capsys):
     doc = _with(kernel_config("brownian"), ("source",), source)
     assert main(["analyze", "--config", str(write_config(tmp_path, doc))]) == 2
     assert "source.csv has unknown fields: ['mdoe']" in capsys.readouterr().err
+
+
+#: a JSON literal that is no finite float, where the config needs a number, and the field named
+NON_FINITE = {
+    "interval-1e309": (indicator_config(), ("grids", "E", "interval"), [0.0, "@"], "1e309",
+                       "grids.E.interval must be a pair of numbers"),
+    "interval-minus-infinity": (indicator_config(), ("grids", "T", "interval"), ["@", 1.0],
+                                "-Infinity", "grids.T.interval must be a pair of numbers"),
+    "lengthscale-nan": (kernel_config("gaussian"), ("source", "kernel", "params"),
+                        {"lengthscale": "@"}, "NaN", "source.kernel.params.lengthscale"),
+    "lengthscale-long-integer": (kernel_config("gaussian"), ("source", "kernel", "params"),
+                                 {"lengthscale": "@"}, "1" + "0" * 400,
+                                 "source.kernel.params.lengthscale"),
+    "intercept-nan": (_density({"slope": 1.0}), ("grids", "E", "density", "params", "intercept"),
+                      "@", "NaN", "grids.E.density.params.intercept"),
+    "sigma-infinity": (_family("gaussian", {}), ("source", "feature_family", "params", "sigma"),
+                       "@", "Infinity", "source.feature_family.params.sigma"),
+    "weight-slope-1e309": (_family("orthonormal_diagonal", weight={"name": "linear"}),
+                           ("source", "feature_family", "weight", "params"), {"slope": "@"},
+                           "1e309", "source.feature_family.weight.params.slope"),
+    "cutoff-nan": (indicator_config(), ("tolerances",), {"cutoff_rel": "@"}, "NaN",
+                   "tolerances.cutoff_rel"),
+    "width-beyond-float-range": (indicator_config(), ("grids", "E", "interval"), [-1e308, "@"],
+                                 "1e308", "grids.E.interval must have a finite width"),
+}
+
+
+@pytest.mark.parametrize("doc, path, value, literal, message", NON_FINITE.values(),
+                         ids=NON_FINITE.keys())
+def test_non_finite_number_is_config_error(tmp_path, capsys, doc, path, value, literal, message):
+    # the literal is written into the JSON text as is: NaN, Infinity and 1e309 all parse as floats
+    text = json.dumps(_with(doc, path, value)).replace('"@"', literal)
+    assert literal in text
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify", "--config", str(config)])
+    assert code == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("modes", [7.5, 40.0, 0, -3])
+def test_modes_must_be_a_positive_integer(tmp_path, capsys, modes):
+    doc = _family("indicator", {"modes": modes})
+    doc["grids"]["T"]["n"] = 40
+    assert main(["analyze", "--config", str(write_config(tmp_path, doc))]) == 2
+    assert "source.feature_family.params.modes must be an integer >= 1" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -614,13 +665,15 @@ def test_bad_csv_source_is_config_error(tmp_path, capsys, command, kind, matrix,
 
 
 @pytest.mark.parametrize("command", ["verify", "invert", "analyze"])
-@pytest.mark.parametrize("n_T", [40, 20], ids=["square", "wide"])
-def test_overflowing_feature_csv_is_config_error(tmp_path, capsys, command, n_T):
+@pytest.mark.parametrize("n_T, n_E", [(40, 40), (20, 40), (520, 1040)],
+                         ids=["square", "wide", "wide-520"])
+def test_overflowing_feature_csv_is_config_error(tmp_path, capsys, command, n_T, n_E):
     # the induced form of a 1e200-scaled map overflows: the gram on the square
-    # route, R Rᴴ on the wide one; either is a config error, without a warning
+    # route, R Rᴴ on the small wide one, G = B Bᴴ from |T| = 512; each is a
+    # config error, without a warning
     path = tmp_path / "H.csv"
-    save_matrix_csv(1e200 * np.random.default_rng(0).standard_normal((n_T, 40)), path, mode="real")
-    grid = {"interval": [0.0, 1.0], "n": 40, "rule": "midpoint"}
+    save_matrix_csv(1e200 * np.random.default_rng(0).standard_normal((n_T, n_E)), path, mode="real")
+    grid = {"interval": [0.0, 1.0], "n": n_E, "rule": "midpoint"}
     doc = {
         "grids": {"E": grid, "T": {**grid, "n": n_T}},
         "source": {"csv": {"kind": "feature", "path": str(path), "mode": "real"}},
@@ -630,7 +683,7 @@ def test_overflowing_feature_csv_is_config_error(tmp_path, capsys, command, n_T)
     argv = [command, "--config", str(write_config(tmp_path, doc))]
     if command == "invert":
         data = tmp_path / "d.csv"
-        save_function_csv(rl.sample_function(rl.make_uniform_grid(0, 1, 40, "midpoint"),
+        save_function_csv(rl.sample_function(rl.make_uniform_grid(0, 1, n_E, "midpoint"),
                                              lambda p: p), data)
         argv += ["--data", str(data), "--out", str(tmp_path / "rec.csv")]
     code = main(argv)

@@ -3,7 +3,8 @@
 Every command decomposes the weighted kernel form at most once (cached on the
 kernel) and never runs an SVD: a feature source reads its injectivity rank
 from the same decomposition as its solves.  That is one ``eigh``, or, for a
-positive definite form from n = 512, one ``cholesky`` and one ``eigvalsh``.
+positive definite form from n = 512 or a wide map's positive definite
+|T| x |T| gram from |T| = 512, one ``cholesky`` and one ``eigvalsh``.
 ``verify`` makes one batched solve for the reproducing and point-evaluation
 trials and, on a feature source, one for the transform trials; the norms of
 the kernel sections come in closed form from the cached decomposition,
@@ -67,11 +68,10 @@ def hermitian_doc(tmp_path, n, trials=10, seed=4):
     }
 
 
-@pytest.fixture
-def decompositions(monkeypatch):
-    """Counts calls of ``np.linalg.svd`` and ``np.linalg.eigh``."""
-    counts = {"svd": 0, "eigh": 0}
-    for name in counts:
+def counted_calls(monkeypatch, names):
+    """Counts calls of each ``np.linalg`` function in ``names``, keyed by name."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(np.linalg, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -80,21 +80,24 @@ def decompositions(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Counts calls of ``np.linalg.svd`` and ``np.linalg.eigh``."""
+    return counted_calls(monkeypatch, ("svd", "eigh"))
 
 
 @pytest.fixture
 def factorizations(monkeypatch):
     """Counts calls of ``np.linalg.cholesky`` and ``np.linalg.eigvalsh``."""
-    counts = {"cholesky": 0, "eigvalsh": 0}
-    for name in counts:
-        original = getattr(np.linalg, name)
+    return counted_calls(monkeypatch, ("cholesky", "eigvalsh"))
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
+@pytest.fixture
+def thin_qrs(monkeypatch):
+    """Counts calls of ``np.linalg.qr``, which the ``wide`` route's eigenvectors need."""
+    return counted_calls(monkeypatch, ("qr",))
 
 
 @pytest.fixture
@@ -346,6 +349,26 @@ def test_square_invert_factors_without_eigenvectors(tmp_path, decompositions, fa
     assert report["injectivity"]["injective"] is True
     assert decompositions == {"svd": 0, "eigh": eigh}
     assert factorizations == {"cholesky": factored, "eigvalsh": factored}
+
+
+@pytest.mark.parametrize("n_T, n_E, eigh, factored", [(600, 1200, 0, 1), (60, 120, 1, 0)],
+                         ids=["cholesky", "below-floor"])
+def test_wide_invert_factors_its_t_side(tmp_path, decompositions, factorizations, thin_qrs,
+                                        gram_builds, n_T, n_E, eigh, factored):
+    # from |T| = 512 one Cholesky of G = B Bᴴ and its eigvalsh replace the
+    # thin QR and the eigh, and the inversion is solved on the T side
+    config = parse_config(indicator_doc(n_T=n_T, n_E=n_E))
+    data = write_invert_data(tmp_path, config)
+    for counts in (decompositions, factorizations, thin_qrs):
+        counts.update(dict.fromkeys(counts, 0))
+    code, report = cli.run_invert(config, data, tmp_path / "rec.csv")
+    assert code == cli.EXIT_OK
+    assert report["diagnostics"]["decomposition"] == "wide"
+    assert report["injectivity"] == {"injective": True, "numerical_rank": n_T, "deficiency": 0}
+    assert decompositions == {"svd": 0, "eigh": eigh}
+    assert thin_qrs == {"qr": eigh}
+    assert factorizations == {"cholesky": factored, "eigvalsh": factored}
+    assert gram_builds == []
 
 
 def trial_images(kernel, config):

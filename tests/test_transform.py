@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rkhslab as rl
+from rkhslab.grid import random_samples
 
 
 @pytest.fixture(scope="module")
@@ -388,7 +389,7 @@ class TestWideSpectrum:
         assert rl.solve_kernel_system(K, in_range).range_residual <= 1e-12
 
 
-INVERT_SHAPES = {"wide": (60, 120), "square": (60, 60), "tall": (60, 30)}
+INVERT_SHAPES = {"wide": (60, 120), "square": (60, 60), "tall": (60, 30), "wide-520": (520, 1040)}
 INVERT_CASES = [(kind, shape) for shape in INVERT_SHAPES for kind in ("real", "complex", "indicator")]
 
 
@@ -452,3 +453,135 @@ def test_lazy_gram_matches_explicit_product(kind, n_T):
         # a real map's gram is one syrk: exactly symmetric, with no defect
         assert gram.dtype == np.float64 and np.array_equal(gram, gram.T)
         assert op.hermitian_defect == 0.0
+
+
+def wide_map(kind):
+    """A wide map at the Cholesky floor or above: indicator 600 x 1200, or a random 520 x 1040.
+
+    The complex map's rows are scaled from 1 to 1e-3, so its form spans six
+    orders: the default cutoff keeps every eigenvalue and 1e-3 drops some.
+    Any other kind is a real map whose row 7 repeats row 3.
+    """
+    if kind == "indicator":
+        grid_T = rl.make_uniform_grid(0, 1, 600, "midpoint")
+        grid_E = rl.make_uniform_grid(0, 1, 1200, "midpoint")
+        return rl.build_transform(rl.make_feature_map(rl.FeatureFamily("indicator"), grid_T, grid_E))
+    grid_T = rl.make_uniform_grid(0, 1, 520, "midpoint")
+    grid_E = rl.make_uniform_grid(0, 1, 1040, "midpoint")
+    rng = np.random.default_rng(31)
+    H = rng.standard_normal((520, 1040))
+    if kind == "complex":
+        H = (H + 1j * rng.standard_normal((520, 1040))) * np.logspace(0, -3, 520)[:, None]
+    else:
+        H[7, :] = H[3, :]
+    return rl.build_transform(rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H))
+
+
+def forced_qr(monkeypatch, op):
+    """A copy of ``op`` decomposed by the thin QR and small eigh: the size floor is raised above |T|."""
+    copy = rl.build_transform(op.feature)
+    with monkeypatch.context() as patch:
+        patch.setattr(rl.kernel, "LOW_RANK_MIN_SIZE", op.grid_T.size + 1)
+        copy.weighted_eigh
+    return copy
+
+
+class TestWideCholeskyRoute:
+    """From |T| = 512 a wide map's spectrum comes from ``G = Fᴴ F = L Lᴴ`` and ``eigvalsh``."""
+
+    @pytest.fixture(scope="class", params=["indicator", "complex"])
+    def routes(self, request):
+        op = wide_map(request.param)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            return op, forced_qr(monkeypatch, op)
+
+    def test_agrees_with_qr_route(self, routes):
+        op, qr = routes
+        chol, full = op.weighted_eigh, qr.weighted_eigh
+        assert (chol.decomposition, full.decomposition) == ("wide", "wide")
+        assert chol.eigenvectors is None and chol.certified_error == 0.0
+        assert chol.L.shape == (op.grid_T.size,) * 2 and chol.F.shape == (op.size, op.grid_T.size)
+        assert full.L is None and full.F is None
+        gap = np.max(np.abs(chol.eigenvalues - full.eigenvalues))
+        assert gap <= op.size * np.finfo(float).eps * full.eigenvalues[0]
+        # the n - r structural zeros are sorted in as on the QR route
+        assert np.count_nonzero(chol.eigenvalues == 0.0) == op.size - op.grid_T.size
+        rank = rl.spectral_data(op).numerical_rank
+        assert rank == rl.spectral_data(qr).numerical_rank == op.grid_T.size
+        assert rl.check_injectivity(op).injective
+        assert "dense_eigh" not in vars(op)
+
+    def test_solves_agree_with_qr_route(self, routes):
+        op, qr = routes
+        rng = np.random.default_rng(5)
+        complex_mode = np.iscomplexobj(op.feature.matrix)
+        sources = random_samples(rng, op.grid_T.size, 4, complex_mode)
+        images = (op.feature.matrix.conj().T * op.grid_T.weights[None, :]) @ sources
+        rhs = np.column_stack([images, random_samples(rng, op.size, 3, complex_mode)])
+        (x, residuals), (x_qr, residuals_qr) = (
+            rl.kernel._solve_columns(kernel, rhs, 1e-12) for kernel in (op, qr)
+        )
+        gap = np.linalg.norm(x - x_qr, axis=0) / np.linalg.norm(x_qr, axis=0)
+        assert np.max(gap) <= 1e-10
+        # in range only roundoff remains; out of it the same mass is measured
+        assert np.max(residuals[:4]) <= 1e-11 and np.max(residuals_qr[:4]) <= 1e-11
+        assert np.max(np.abs(residuals[4:] - residuals_qr[4:])) <= 1e-12
+        assert np.min(residuals[4:]) > 0.1
+        diag, diag_qr = (rl.kernel._kept_diagonal(kernel) for kernel in (op, qr))
+        assert np.max(np.abs(diag - diag_qr)) <= 1e-12 * np.max(diag_qr)
+        with pytest.raises(rl.RangeViolationError) as err:
+            rl.kernel._solve_columns(op, rhs, 1e-12, 1e-6)
+        assert err.value.residual == residuals[4]
+        assert "dense_eigh" not in vars(op)
+
+    def test_dropping_cutoff_reads_the_qr_route(self, routes):
+        op, qr = routes
+        spec, spec_qr = rl.spectral_data(op, 1e-3), rl.spectral_data(qr, 1e-3)
+        assert spec.numerical_rank == spec_qr.numerical_rank < op.grid_T.size
+        for name in ("eigenvalues", "eigenvectors", "cutoff", "numerical_rank", "L", "F"):
+            np.testing.assert_array_equal(getattr(spec, name), getattr(spec_qr, name))
+        assert spec.L is None and spec.F is None
+        rng = np.random.default_rng(6)
+        rhs = random_samples(rng, op.size, 3, np.iscomplexobj(op.feature.matrix))
+        (x, residuals), (x_qr, residuals_qr) = (
+            rl.kernel._solve_columns(kernel, rhs, 1e-3) for kernel in (op, qr)
+        )
+        np.testing.assert_array_equal(x, x_qr)
+        np.testing.assert_array_equal(residuals, residuals_qr)
+        np.testing.assert_array_equal(
+            rl.kernel._kept_diagonal(op, 1e-3), rl.kernel._kept_diagonal(qr, 1e-3)
+        )
+        # the full-rank cutoff still solves through the factor
+        assert rl.spectral_data(op).L is op.weighted_eigh.L
+
+    def test_inverts_on_the_t_side(self, routes):
+        op, qr = routes
+        rng = np.random.default_rng(7)
+        source = random_samples(rng, op.grid_T.size, 1, np.iscomplexobj(op.feature.matrix))[:, 0]
+        f = rl.apply_forward(op, rl.DiscreteFunction(source, op.grid_T))
+        result, result_qr = rl.invert(op, f), rl.invert(qr, f)
+        for got in (result, result_qr):
+            assert np.linalg.norm(got.recovered.values - source) <= 1e-9 * np.linalg.norm(source)
+            assert got.range_residual <= 1e-11
+        # the refinement step recovers to near the data's own roundoff
+        assert np.linalg.norm(result.recovered.values - source) <= 1e-13 * np.linalg.norm(source)
+        assert result.range_residual <= 1e-14
+        # G⁻¹ (B √w f) / √m, the T-side form of L*(K⁻¹ f)
+        B = _weighted_factor(op)
+        G = B @ B.conj().T
+        expected = np.linalg.solve(G, B @ (np.sqrt(op.grid_E.weights) * f.values))
+        expected /= np.sqrt(op.grid_T.weights)
+        gap = np.linalg.norm(result.recovered.values - expected) / np.linalg.norm(expected)
+        assert gap <= 1e-10
+
+
+def test_wide_map_with_equal_rows_keeps_the_qr_rank(monkeypatch):
+    op = wide_map("duplicate-rows")
+    qr = forced_qr(monkeypatch, op)
+    rank = rl.spectral_data(op).numerical_rank
+    assert rank == rl.spectral_data(qr).numerical_rank == op.grid_T.size - 1
+    inj = rl.check_injectivity(op)
+    assert not inj.injective and inj.numerical_rank == rank
+    f = rl.apply_forward(op, rl.DiscreteFunction(np.ones(op.grid_T.size), op.grid_T))
+    with pytest.raises(rl.NotInjectiveError):
+        rl.invert(op, f)
