@@ -64,14 +64,16 @@ def _conditioning_block(kernel, cutoff_rel):
     }, cond
 
 
-def _diagnostics_block(kernel):
-    """Which route decomposed the weighted form, and the error it certifies."""
+def _diagnostics_block(kernel, cutoff_rel):
+    """Which route decomposed the weighted form, the error it certifies, and what decided the rank."""
     eig = kernel.weighted_eigh
     return {
         "decomposition": eig.decomposition,
         "certified_error": eig.certified_error,
         # a Weyl bound, not a computed eigenvalue, on the low-rank route
         "min_eigenvalue_is_bound": eig.decomposition == "low_rank",
+        # the shifted Cholesky, not the eigenvalues, decided the rank at this cutoff
+        "rank_certified": eig.rank_certified(cutoff_rel),
     }
 
 
@@ -234,7 +236,7 @@ def run_verify(config: RunConfig):
             "tolerance": config.tol_psd,
         },
         "conditioning": conditioning,
-        "diagnostics": _diagnostics_block(kernel),
+        "diagnostics": _diagnostics_block(kernel, config.cutoff_rel),
         "identities": identities,
         "injectivity": injectivity_block,
         "weighted_l2": _weighted_block(weighted, config.tol_diag),
@@ -270,7 +272,7 @@ def run_invert(config: RunConfig, data_path, out_path):
     }
     inj = check_injectivity(op, config.cutoff_rel)
     report["injectivity"] = dataclasses.asdict(inj)
-    report["diagnostics"] = _diagnostics_block(op)
+    report["diagnostics"] = _diagnostics_block(op, config.cutoff_rel)
     if not inj.injective:
         report["error"] = "transform is not injective"
         report["timings"] = {"total_s": time.perf_counter() - started}

@@ -14,12 +14,12 @@ That decomposition takes one of four routes:
   induces, ``transform.InducedKernel``, supplies its feature side), the
   spectrum is read from the r x r side.  From r >= ``LOW_RANK_MIN_SIZE`` a
   Cholesky ``G = Fᴴ F = L Lᴴ`` is tried first (Golub & Van Loan, *Matrix
-  Computations*, §4.2): when it succeeds the r nonzero eigenvalues come from
-  ``eigvalsh(G)`` and no eigenvectors are formed, since at a cutoff that
-  keeps all r the pseudo-inverse is ``F G⁻² Fᴴ``.  Below that size, or
-  when ``G`` is not numerically positive definite, a thin QR of F and one
-  r x r ``eigh`` give the eigenpairs; a cutoff that drops one of the r
-  reads them, run then, once (``KernelMatrix.dense_eigh``).
+  Computations*, §4.2): when it succeeds no eigenvectors are formed, since
+  at a cutoff that keeps all r nonzero eigenvalues the pseudo-inverse is
+  ``F G⁻² Fᴴ``.  Below that size, or when ``G`` is not numerically positive
+  definite, a thin QR of F and one r x r ``eigh`` give the eigenpairs; a
+  cutoff that drops one of the r reads them, run then, once
+  (``KernelMatrix.dense_eigh``).
 * ``low_rank``: at n >= ``LOW_RANK_MIN_SIZE`` a pivoted Cholesky
   ``S ≈ L Lᴴ`` is tried first (Harbrecht, Peters & Schneider 2012).  It is
   used when it needs at most n / 8 pivots, all positive, and its error
@@ -28,23 +28,36 @@ That decomposition takes one of four routes:
   By Weyl's inequality ``lambda_min(S) >= -err``, and the last eigenvalue
   slot carries that bound.  Its factor then takes one small ``eigh``.
 * ``cholesky``: otherwise, at n >= ``LOW_RANK_MIN_SIZE``, a full Cholesky
-  ``S = L Lᴴ`` is tried.  When it succeeds the eigenvalues come from
-  ``eigvalsh`` and no eigenvectors are formed: at a cutoff that keeps every
-  eigenvalue the pseudo-inverse is the inverse, and the solves are two
-  triangular substitutions with ``L``.  A cutoff that drops an eigenvalue
-  reads the dense ``eigh``, run then, once (``KernelMatrix.dense_eigh``).
+  ``S = L Lᴴ`` is tried.  When it succeeds no eigenvectors are formed: at
+  a cutoff that keeps every eigenvalue the pseudo-inverse is the inverse,
+  and the solves are two triangular substitutions with ``L``.  A cutoff
+  that drops an eigenvalue reads the dense ``eigh``, run then, once
+  (``KernelMatrix.dense_eigh``).
 * ``dense``: otherwise, or when ``S`` is not numerically positive definite,
   the n x n form is decomposed by one ``eigh``.
 
 ``KernelMatrix.weighted_eigh`` alone chooses among the four.  A factor route
 yields eigenvectors with fewer columns than rows, or the wide Cholesky factor
 in their place, and its remaining eigenvalues are zeros.
+
+On the two Cholesky routes the spectrum is lazy: the form ``A`` factored
+(``S``, or ``G``) is held, and ``eigvalsh(A)`` runs at the first read of the
+eigenvalues.  Until then ``spectral_data`` decides whether a cutoff keeps
+every eigenvalue by a certificate: a Cholesky of ``A - c I``, with
+``c = cutoff_rel ||A||_F + 2 (r + 1) eps tr(A)`` for r x r ``A``.  Since
+``||A||_F >= lambda_max`` and the factorization's backward error is at most
+``2 (r + 1) eps tr(A)`` in norm (Higham, *Accuracy and Stability of Numerical
+Algorithms*, Thm 10.3), its success puts every eigenvalue above
+``cutoff_rel * lambda_max``, so the rank is r.  On failure ``eigvalsh``
+decides, so a rank below r is never decided by the certificate.  ``verify``
+reads the spectrum first and runs no certificate; ``invert`` reads only the
+rank and runs no ``eigvalsh``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -68,7 +81,6 @@ LOW_RANK_MIN_SIZE = 512
 PIVOT_STOP_REL = 1e-14
 
 
-@dataclass(frozen=True, eq=False)
 class WeightedEigh:
     """Eigenpairs of the weighted form, descending, and how they were computed.
 
@@ -79,15 +91,69 @@ class WeightedEigh:
     is None and ``L`` is lower-triangular: on the ``cholesky`` route
     ``S = L Lᴴ``, and on the ``wide`` route ``G = Fᴴ F = L Lᴴ`` for the
     exact n x r factor ``S = F Fᴴ`` held in ``F``.  Otherwise ``L`` and
-    ``F`` are None.
+    ``F`` are None.  On those two routes ``eigenvalues`` is computed at its
+    first read, by ``eigvalsh`` of the form factored, and ``keeps_all``
+    decides the full rank without it (see the module docstring).
+
+    That form, ``S`` or ``G``, is held until its first read, which consumes
+    it: ``eigvalsh`` reads it, the certificate factors it in place.  A later
+    read forms it again with ``reform``, the expression
+    ``KernelMatrix.weighted_eigh`` used.  ``reform`` binds arrays only: a
+    reference to the kernel would make a cycle with the decomposition the
+    kernel caches.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
-    decomposition: str
-    certified_error: float
-    L: np.ndarray | None = None
-    F: np.ndarray | None = None
+    def __init__(
+        self,
+        eigenvalues: np.ndarray | None,
+        eigenvectors: np.ndarray | None,
+        decomposition: str,
+        certified_error: float,
+        L: np.ndarray | None = None,
+        F: np.ndarray | None = None,
+        form: np.ndarray | None = None,
+        reform: Callable[[], np.ndarray] | None = None,
+    ):
+        self._eigenvalues = eigenvalues
+        self.eigenvectors = eigenvectors
+        self.decomposition = decomposition
+        self.certified_error = certified_error
+        self.L = L
+        self.F = F
+        self._form = form
+        self._reform = reform
+        self._certified: set[float] = set()
+
+    def _take_form(self) -> np.ndarray:
+        """The form factored, the held array at the first call and formed anew after."""
+        form, self._form = self._form, None
+        return self._reform() if form is None else form
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of ``S``, descending; ``eigvalsh``'s on a Cholesky route, run once."""
+        if self._eigenvalues is None:
+            lam = np.linalg.eigvalsh(self._take_form())[::-1]
+            self._eigenvalues = lam if self.F is None else _with_zeros(lam, self.F.shape[0])
+        return self._eigenvalues
+
+    def keeps_all(self, cutoff_rel: float) -> bool:
+        """Whether ``cutoff_rel * lambda_max`` keeps every eigenvalue ``L`` inverts.
+
+        While the eigenvalues are unread the shifted Cholesky may certify it,
+        once per cutoff; otherwise, or when it fails, the eigenvalues decide.
+        Only the two Cholesky routes, which set ``L``, answer this.
+        """
+        if cutoff_rel in self._certified:
+            return True
+        if self._eigenvalues is None and _certifies_full_rank(self._take_form(), cutoff_rel):
+            self._certified.add(cutoff_rel)
+            return True
+        return _rank(self.eigenvalues, cutoff_rel) == self.L.shape[0]
+
+    def rank_certified(self, cutoff_rel: float) -> bool:
+        """Whether the shifted Cholesky, not the eigenvalues, decided the rank at this cutoff."""
+        return cutoff_rel in self._certified
 
 
 def _finite_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,6 +172,22 @@ def _hermitian_part(A: np.ndarray) -> np.ndarray:
     A *= 0.5
     A += A.conj().T
     return A
+
+
+def _weighted_form(gram: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``S = sqrt(W) gram sqrt(W)``, exactly Hermitian, as a new array."""
+    sw = np.sqrt(weights)
+    return _hermitian_part(sw[:, None] * gram * sw[None, :])
+
+
+def _factor_gram(F: np.ndarray) -> np.ndarray:
+    """``G = Fᴴ F``, exactly Hermitian, raising ``ValueError`` when it overflows."""
+    return _hermitian_part(_finite_product(F.conj().T, F))
+
+
+def _rank(lam: np.ndarray, cutoff_rel: float) -> int:
+    """How many of the descending ``lam`` lie strictly above ``cutoff_rel * max(lam[0], 0)``."""
+    return int(np.count_nonzero(lam > cutoff_rel * max(float(lam[0]), 0.0)))
 
 
 def _with_zeros(lam: np.ndarray, n_dim: int) -> np.ndarray:
@@ -135,22 +217,69 @@ def _factor_eigh(factor: np.ndarray, decomposition: str, error: float = 0.0) -> 
     return WeightedEigh(lam, Q @ V[:, order], decomposition, error)
 
 
-def _cholesky_eigh(A: np.ndarray, F: np.ndarray | None = None) -> WeightedEigh | None:
-    """Eigenvalues of ``S`` from ``eigvalsh``, with a Cholesky factor in place of eigenvectors.
+def _cholesky_eigh(
+    A: np.ndarray, reform: Callable[[], np.ndarray], F: np.ndarray | None = None
+) -> WeightedEigh | None:
+    """A Cholesky factor of ``A`` in place of eigenvectors, with ``A`` held for a lazy spectrum.
 
     ``A`` is ``S`` itself (the ``cholesky`` route), or, with ``F`` given, the
     gram ``G = Fᴴ F`` of an exact factor ``S = F Fᴴ``, whose r eigenvalues
-    are the nonzero ones of ``S`` (the ``wide`` route).  Returns None when
-    ``A`` is not numerically positive definite.
+    are the nonzero ones of ``S`` (the ``wide`` route).  ``reform`` forms
+    ``A`` again (``WeightedEigh``).  Returns None when ``A`` is not
+    numerically positive definite.
     """
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return None
-    lam = np.linalg.eigvalsh(A)[::-1]
-    if F is None:
-        return WeightedEigh(lam, None, "cholesky", 0.0, L)
-    return WeightedEigh(_with_zeros(lam, F.shape[0]), None, "wide", 0.0, L, F)
+    route = "cholesky" if F is None else "wide"
+    return WeightedEigh(None, None, route, 0.0, L, F, form=A, reform=reform)
+
+
+#: rows per block of ``_cholesky_in_place``, as in ``_cholesky_solve``
+CHOLESKY_BLOCK = 256
+
+
+def _cholesky_in_place(A: np.ndarray) -> bool:
+    """Whether the Hermitian ``A`` is numerically positive definite; overwrites ``A``.
+
+    A left-looking blocked Cholesky writes ``L`` over the lower triangle of
+    ``A`` and reads nothing above it.  Each block column is updated by one
+    matrix product with the columns already factored, its diagonal block
+    factored by ``np.linalg.cholesky`` and the panel below it solved against
+    that factor.  The largest temporary is one block column.
+    """
+    n_dim = A.shape[0]
+    for j0 in range(0, n_dim, CHOLESKY_BLOCK):
+        j1 = min(j0 + CHOLESKY_BLOCK, n_dim)
+        A[j0:, j0:j1] -= A[j0:, :j0] @ A[j0:j1, :j0].conj().T
+        try:
+            A[j0:j1, j0:j1] = np.linalg.cholesky(A[j0:j1, j0:j1])
+        except np.linalg.LinAlgError:
+            return False
+        # the panel P below solves P Lᴴ = A[j1:, j0:j1], as L Pᴴ = A[j1:, j0:j1]ᴴ
+        A[j1:, j0:j1] = np.linalg.solve(A[j0:j1, j0:j1], A[j1:, j0:j1].conj().T).conj().T
+    return True
+
+
+def _certificate_shift(A: np.ndarray, cutoff_rel: float) -> float:
+    """``c = cutoff_rel ||A||_F + 2 (r + 1) eps tr(A)``, the shift of the rank certificate."""
+    r_dim = A.shape[0]
+    trace = float(np.trace(A).real)
+    return cutoff_rel * float(np.linalg.norm(A)) + 2 * (r_dim + 1) * np.finfo(float).eps * trace
+
+
+def _certifies_full_rank(A: np.ndarray, cutoff_rel: float) -> bool:
+    """Whether a Cholesky of ``A - c I`` succeeds (``_certificate_shift``); overwrites ``A``.
+
+    Success puts every eigenvalue of ``A`` above ``cutoff_rel * lambda_max``
+    even after the factorization's backward error (module docstring).
+    """
+    shift = _certificate_shift(A, cutoff_rel)
+    if not math.isfinite(shift):
+        return False
+    A.flat[:: A.shape[0] + 1] -= shift
+    return _cholesky_in_place(A)
 
 
 def _pivoted_cholesky(S: np.ndarray, max_rank: int) -> np.ndarray | None:
@@ -235,11 +364,6 @@ class KernelMatrix:
         """An exact factor F of ``S = F Fᴴ`` with fewer columns than rows, or None."""
         return None
 
-    def _weighted_form(self) -> np.ndarray:
-        """``S = sqrt(W) gram sqrt(W)``, exactly Hermitian, as a new array."""
-        sw = np.sqrt(self.grid.weights)
-        return _hermitian_part(sw[:, None] * self.gram * sw[None, :])
-
     @cached_property
     def weighted_eigh(self) -> WeightedEigh:
         """Eigenvalues of ``S = sqrt(W) gram sqrt(W)``, descending; computed once, on first use.
@@ -251,17 +375,18 @@ class KernelMatrix:
         from ``LOW_RANK_MIN_SIZE`` on the side decomposed: r for a wide
         factor, whose thin QR runs otherwise, and n for any other kernel.
         The result holds eigenvectors or a Cholesky factor ``L``, which
-        takes their place in memory: ``S`` itself is not kept.
+        takes their place in memory.  ``S`` (or ``G``) itself is kept by a
+        Cholesky route only until its spectrum or rank certificate reads it.
         """
         factor = self.exact_factor()
-        S = self._weighted_form() if factor is None else None
+        S = _weighted_form(self.gram, self.grid.weights) if factor is None else None
         side = self.size if factor is None else factor.shape[1]
         if side >= LOW_RANK_MIN_SIZE:
             if factor is None:
-                eig = _low_rank_eigh(S) or _cholesky_eigh(S)
+                reform = partial(_weighted_form, self.gram, self.grid.weights)
+                eig = _low_rank_eigh(S) or _cholesky_eigh(S, reform)
             else:
-                G = _hermitian_part(_finite_product(factor.conj().T, factor))
-                eig = _cholesky_eigh(G, factor)
+                eig = _cholesky_eigh(_factor_gram(factor), partial(_factor_gram, factor), factor)
             if eig is not None:
                 return eig
         # not numerically positive definite, or below the floor: eigenvectors decide
@@ -281,10 +406,9 @@ class KernelMatrix:
         factor = self.exact_factor()
         if factor is not None:
             return _factor_eigh(factor, "wide")
-        return _dense_eigh(self._weighted_form())
+        return _dense_eigh(_weighted_form(self.gram, self.grid.weights))
 
 
-@dataclass(frozen=True, eq=False)
 class SpectralData:
     """Spectrum of the weighted symmetric form at one cutoff, and what its solves read.
 
@@ -304,18 +428,32 @@ class SpectralData:
     solves run through ``L``; the eigenvalues are ``eigvalsh``'s.  On the
     ``cholesky`` route that is all n eigenvalues and ``S = L Lᴴ``; on the
     ``wide`` route it is the r nonzero ones, ``F`` is the exact factor
-    ``S = F Fᴴ`` and ``G = Fᴴ F = L Lᴴ``.  At a cutoff that drops one, every
-    field comes from the decomposition with eigenvectors
-    (``KernelMatrix.dense_eigh``) and ``L`` and ``F`` are None, as on every
-    other route.
+    ``S = F Fᴴ`` and ``G = Fᴴ F = L Lᴴ``.  There ``eigenvalues`` and
+    ``cutoff`` are computed at their first read, and the rank may come from
+    the shifted Cholesky instead (``WeightedEigh.keeps_all``).  At a cutoff
+    that drops one, every field comes from the decomposition with
+    eigenvectors (``KernelMatrix.dense_eigh``) and ``L`` and ``F`` are None,
+    as on every other route.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
-    cutoff: float
-    numerical_rank: int
-    L: np.ndarray | None = None
-    F: np.ndarray | None = None
+    def __init__(self, eig: WeightedEigh, cutoff_rel: float, numerical_rank: int | None = None):
+        self._eig = eig
+        self._cutoff_rel = cutoff_rel
+        self.eigenvectors = eig.eigenvectors
+        self.L = eig.L
+        self.F = eig.F
+        if numerical_rank is None:
+            numerical_rank = _rank(eig.eigenvalues, cutoff_rel)
+        self.numerical_rank = numerical_rank
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eig.eigenvalues
+
+    @property
+    def cutoff(self) -> float:
+        """The absolute cutoff ``cutoff_rel * max(lambda_max, 0)``."""
+        return self._cutoff_rel * max(float(self.eigenvalues[0]), 0.0)
 
 
 @dataclass(frozen=True)
@@ -422,25 +560,21 @@ def builtin_kernel(name: str, **params) -> Callable:
 
 
 def spectral_data(K: KernelMatrix, cutoff_rel: float = DEFAULT_CUTOFF_REL) -> SpectralData:
-    """Spectral factorization with the rank cutoff ``cutoff_rel * lambda_max``."""
+    """Spectral factorization with the rank cutoff ``cutoff_rel * lambda_max``.
+
+    On a Cholesky route whose eigenvalues are still unread, a shifted
+    Cholesky may certify that the cutoff keeps all of them, and no
+    ``eigvalsh`` runs (module docstring); its outcome is cached per cutoff.
+    """
     if not 0 < cutoff_rel < 1:
         raise ValueError("cutoff_rel must lie in (0, 1)")
-    spec = _truncated(K.weighted_eigh, cutoff_rel)
-    if spec.L is not None and spec.numerical_rank < spec.L.shape[0]:
+    eig = K.weighted_eigh
+    if eig.L is not None:
+        if eig.keeps_all(cutoff_rel):
+            return SpectralData(eig, cutoff_rel, eig.L.shape[0])
         # a Cholesky factor inverts its whole matrix only: dropping needs eigenvectors
-        spec = _truncated(K.dense_eigh, cutoff_rel)
-    return spec
-
-
-def _truncated(eig: WeightedEigh, cutoff_rel: float) -> SpectralData:
-    """``eig`` at the cutoff ``cutoff_rel * lambda_max``."""
-    lam = eig.eigenvalues
-    cutoff = cutoff_rel * max(float(lam[0]), 0.0)
-    rank = int(np.count_nonzero(lam > cutoff))
-    return SpectralData(
-        eigenvalues=lam, eigenvectors=eig.eigenvectors, cutoff=cutoff, numerical_rank=rank,
-        L=eig.L, F=eig.F,
-    )
+        eig = K.dense_eigh
+    return SpectralData(eig, cutoff_rel)
 
 
 def _kept_diagonal(K: KernelMatrix, cutoff_rel: float = DEFAULT_CUTOFF_REL) -> np.ndarray:

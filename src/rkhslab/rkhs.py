@@ -83,7 +83,13 @@ def make_rkhs_space(
     cutoff_rel: float = DEFAULT_CUTOFF_REL,
     range_tol: float = DEFAULT_RANGE_TOL,
 ) -> RkhsSpace:
-    spectral_data(kernel, cutoff_rel)  # validates cutoff_rel, decomposes up front
+    """The space of ``kernel`` with its solve thresholds.
+
+    It validates ``cutoff_rel`` and decides the rank up front: it decomposes
+    the kernel, and on a Cholesky route certifies a full rank or reads the
+    eigenvalues (``kernel.spectral_data``).
+    """
+    spectral_data(kernel, cutoff_rel)
     return RkhsSpace(kernel=kernel, cutoff_rel=cutoff_rel, range_tol=range_tol)
 
 

@@ -26,8 +26,10 @@ when |T| < |E|, the exact factor ``Bᴴ`` (``InducedKernel.exact_factor``).
 map's spectrum comes from its |T| x |T| side (the ``wide`` route), and a
 square or tall map's |E| x |E| form, then the smaller side, is decomposed
 like any other gram's.  From |T| = ``LOW_RANK_MIN_SIZE`` the wide route
-factors ``G = B Bᴴ = L Lᴴ`` by one syrk and one Cholesky and reads the
-spectrum from ``eigvalsh(G)``, with no eigenvectors; below that size, or when
+factors ``G = B Bᴴ = L Lᴴ`` by one syrk and one Cholesky, with no
+eigenvectors: the spectrum comes from ``eigvalsh(G)`` where it is read, and
+a full rank from a shifted Cholesky of ``G`` where only the rank is, as in
+``invert`` (``kernel.spectral_data``); below that size, or when
 ``G`` is not numerically positive definite, a thin QR of ``Bᴴ`` and one
 |T| x |T| ``eigh`` run.  ``invert`` on the Cholesky factor solves the
 inversion formula on the T side, ``F = (L*L)⁻¹ L* f``.
@@ -188,7 +190,10 @@ def check_injectivity(
     rank equal to the size of grid T, i.e. the feature family is total in the
     source space.  ``AᴴA`` is the weighted induced form, so the rank counts its
     eigenvalues above ``cutoff_rel * lambda_max`` (``sigma > sqrt(cutoff_rel)
-    sigma_max``) in the cached spectrum the solves use.
+    sigma_max``) in the cached decomposition the solves use.  On the
+    ``cholesky`` and ``wide`` routes, while the spectrum is unread, a full
+    rank is certified by a shifted Cholesky and no eigenvalues are computed
+    (``kernel.spectral_data``).
     """
     rank = spectral_data(op, cutoff_rel).numerical_rank
     m_dim = op.grid_T.size

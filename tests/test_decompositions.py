@@ -4,7 +4,9 @@ Every command decomposes the weighted kernel form at most once (cached on the
 kernel) and never runs an SVD: a feature source reads its injectivity rank
 from the same decomposition as its solves.  That is one ``eigh``, or, for a
 positive definite form from n = 512 or a wide map's positive definite
-|T| x |T| gram from |T| = 512, one ``cholesky`` and one ``eigvalsh``.
+|T| x |T| gram from |T| = 512, one ``cholesky`` and the spectrum: one
+``eigvalsh`` where it is read (``verify``), and where only the rank is read
+(``invert``) the blocks of one shifted Cholesky that certify it.
 ``verify`` makes one batched solve for the reproducing and point-evaluation
 trials and, on a feature source, one for the transform trials; the norms of
 the kernel sections come in closed form from the cached decomposition,
@@ -92,6 +94,26 @@ def decompositions(monkeypatch):
 def factorizations(monkeypatch):
     """Counts calls of ``np.linalg.cholesky`` and ``np.linalg.eigvalsh``."""
     return counted_calls(monkeypatch, ("cholesky", "eigvalsh"))
+
+
+@pytest.fixture
+def cholesky_shapes(monkeypatch):
+    """Records the operand shape of every ``np.linalg.cholesky`` call."""
+    shapes = []
+    original = np.linalg.cholesky
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    return shapes
+
+
+def certificate_blocks(r):
+    """The diagonal blocks the rank certificate factors for an r x r form."""
+    block = kernel_module.CHOLESKY_BLOCK
+    return [(min(block, r - j),) * 2 for j in range(0, r, block)]
 
 
 @pytest.fixture
@@ -340,35 +362,64 @@ def test_full_rank_verify_factors_without_eigenvectors(decompositions, factoriza
 @pytest.mark.parametrize("n, eigh, factored", [(600, 0, 1), (60, 1, 0)],
                          ids=["cholesky", "below-floor"])
 def test_square_invert_factors_without_eigenvectors(tmp_path, decompositions, factorizations,
-                                                    n, eigh, factored):
+                                                    cholesky_shapes, n, eigh, factored):
+    # one full-size Cholesky for the solves; the rank is certified by a
+    # shifted one, factored in blocks, and no eigvalsh runs
     config = parse_config(indicator_doc(n_T=n, n_E=n))
     data = write_invert_data(tmp_path, config)
     code, report = cli.run_invert(config, data, tmp_path / "rec.csv")
     assert code == cli.EXIT_OK
     assert report["diagnostics"]["decomposition"] == ("cholesky" if factored else "dense")
+    assert report["diagnostics"]["rank_certified"] is bool(factored)
     assert report["injectivity"]["injective"] is True
     assert decompositions == {"svd": 0, "eigh": eigh}
-    assert factorizations == {"cholesky": factored, "eigvalsh": factored}
+    blocks = certificate_blocks(n)
+    assert factorizations == {"cholesky": factored * (1 + len(blocks)), "eigvalsh": 0}
+    assert cholesky_shapes == ([(n, n)] + blocks) * factored
 
 
 @pytest.mark.parametrize("n_T, n_E, eigh, factored", [(600, 1200, 0, 1), (60, 120, 1, 0)],
                          ids=["cholesky", "below-floor"])
 def test_wide_invert_factors_its_t_side(tmp_path, decompositions, factorizations, thin_qrs,
-                                        gram_builds, n_T, n_E, eigh, factored):
-    # from |T| = 512 one Cholesky of G = B Bᴴ and its eigvalsh replace the
-    # thin QR and the eigh, and the inversion is solved on the T side
+                                        cholesky_shapes, gram_builds, n_T, n_E, eigh, factored):
+    # from |T| = 512 one Cholesky of G = B Bᴴ, and a shifted one in blocks
+    # that certifies its rank, replace the thin QR and the eigh; no eigvalsh
+    # runs, and the inversion is solved on the T side
     config = parse_config(indicator_doc(n_T=n_T, n_E=n_E))
     data = write_invert_data(tmp_path, config)
     for counts in (decompositions, factorizations, thin_qrs):
         counts.update(dict.fromkeys(counts, 0))
+    cholesky_shapes.clear()
     code, report = cli.run_invert(config, data, tmp_path / "rec.csv")
     assert code == cli.EXIT_OK
     assert report["diagnostics"]["decomposition"] == "wide"
+    assert report["diagnostics"]["rank_certified"] is bool(factored)
     assert report["injectivity"] == {"injective": True, "numerical_rank": n_T, "deficiency": 0}
     assert decompositions == {"svd": 0, "eigh": eigh}
     assert thin_qrs == {"qr": eigh}
-    assert factorizations == {"cholesky": factored, "eigvalsh": factored}
+    blocks = certificate_blocks(n_T)
+    assert factorizations == {"cholesky": factored * (1 + len(blocks)), "eigvalsh": 0}
+    assert cholesky_shapes == ([(n_T, n_T)] + blocks) * factored
     assert gram_builds == []
+
+
+@pytest.mark.parametrize("source, route", [
+    ({"kernel": {"name": "brownian"}}, "cholesky"),
+    ({"feature_family": {"family": "indicator"}}, "wide"),
+], ids=["cholesky", "wide"])
+def test_verify_reads_the_spectrum_and_runs_no_certificate(factorizations, cholesky_shapes,
+                                                           source, route):
+    # verify reports the spectrum, so it reads the eigenvalues before any rank
+    doc = indicator_doc(n_T=600, n_E=1200 if route == "wide" else 600)
+    doc["source"] = source
+    if route == "cholesky":
+        del doc["grids"]["T"]
+    code, report = cli.run_verify(parse_config(doc))
+    assert code == cli.EXIT_OK
+    assert report["diagnostics"]["decomposition"] == route
+    assert report["diagnostics"]["rank_certified"] is False
+    assert factorizations == {"cholesky": 1, "eigvalsh": 1}
+    assert cholesky_shapes == [(600, 600)]
 
 
 def trial_images(kernel, config):

@@ -5,7 +5,7 @@ import rkhslab as rl
 from rkhslab.cli import run_verify
 from rkhslab.config import parse_config
 from rkhslab.report import without_timings
-from conftest import random_range_function
+from conftest import certificate_spectrum, kernel_with_spectrum, random_range_function
 
 
 @pytest.fixture
@@ -404,6 +404,68 @@ class TestCholeskyRoute:
         assert rl.spectral_data(K).L is K.weighted_eigh.L
 
 
+class TestRankCertificate:
+    """On the ``cholesky`` route a shifted Cholesky decides a full rank only where ``eigvalsh`` does.
+
+    The cutoff is 1e-10, not the default, so that the form whose smallest
+    eigenvalue sits a factor 10 below the cutoff is still positive definite
+    to many digits, and takes the ``cholesky`` route on any BLAS.
+    """
+
+    CUTOFF = 1e-10
+
+    @pytest.mark.parametrize("case, certified, rank", [
+        ("above-shift", True, 600), ("between", False, 600), ("below-cutoff", False, 599),
+    ])
+    def test_rank_agrees_with_eigvalsh(self, eigvalsh_calls, case, certified, rank):
+        lam = certificate_spectrum(600, case, self.CUTOFF)
+        K, reference = kernel_with_spectrum(lam), kernel_with_spectrum(lam)
+        assert K.weighted_eigh.decomposition == reference.weighted_eigh.decomposition == "cholesky"
+        expected = reference.weighted_eigh.eigenvalues
+        assert rl.spectral_data(reference, self.CUTOFF).numerical_rank == rank
+        eigvalsh_calls.clear()
+        spec = rl.spectral_data(K, self.CUTOFF)
+        assert spec.numerical_rank == rank
+        assert K.weighted_eigh.rank_certified(self.CUTOFF) is certified
+        assert len(eigvalsh_calls) == (0 if certified else 1)
+        # a dropped eigenvalue reads the dense eigh, a kept one solves through L
+        assert (spec.L is None) is (rank < 600)
+        assert rl.spectral_data(K, self.CUTOFF).numerical_rank == rank
+        assert len(eigvalsh_calls) == (0 if certified else 1)
+        # eigenvalues read after the certificate are those read first, bit for bit
+        np.testing.assert_array_equal(K.weighted_eigh.eigenvalues, expected)
+        source = K.weighted_eigh if rank == 600 else K.dense_eigh
+        assert spec.eigenvalues is source.eigenvalues
+        assert spec.cutoff == self.CUTOFF * source.eigenvalues[0]
+
+    def test_certificate_cached_per_cutoff(self, monkeypatch):
+        lam = certificate_spectrum(600, "above-shift", self.CUTOFF)
+        K = kernel_with_spectrum(lam)
+        eig = K.weighted_eigh
+        runs = []
+        original = rl.kernel._certifies_full_rank
+
+        def counted(A, cutoff_rel):
+            runs.append(cutoff_rel)
+            return original(A, cutoff_rel)
+
+        monkeypatch.setattr(rl.kernel, "_certifies_full_rank", counted)
+        for cutoff_rel in (self.CUTOFF, self.CUTOFF, 1e-12, self.CUTOFF, 1e-12):
+            assert rl.spectral_data(K, cutoff_rel).numerical_rank == 600
+        assert runs == [self.CUTOFF, 1e-12]
+        assert eig.rank_certified(self.CUTOFF) and eig.rank_certified(1e-12)
+        assert not eig.rank_certified(1e-11)
+
+    def test_certificate_shift_bounds_the_cutoff(self):
+        # c >= cutoff_rel * ||A||_F >= cutoff_rel * lambda_max, with the backward-error term on top
+        lam = certificate_spectrum(600, "between", self.CUTOFF)
+        shift = rl.kernel._certificate_shift(np.diag(lam), self.CUTOFF)
+        margin = 2 * 601 * np.finfo(float).eps * lam.sum()
+        assert shift == pytest.approx(self.CUTOFF * np.linalg.norm(lam) + margin, rel=1e-14)
+        cutoff = self.CUTOFF * lam[0]
+        assert cutoff < lam[-1] < shift
+
+
 class TestComparison:
     """Kernels and their spectra compare by identity and hash, without touching their arrays."""
 
@@ -456,6 +518,7 @@ class TestDenseFallback:
         assert default == dense
         assert default["diagnostics"] == {
             "decomposition": "dense", "certified_error": 0.0, "min_eigenvalue_is_bound": False,
+            "rank_certified": False,
         }
         assert default["psd"]["passed"] is psd_passed
 

@@ -3,7 +3,7 @@
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -11,6 +11,7 @@ import rkhslab as rl
 from rkhslab.cli import run_verify
 from rkhslab.config import parse_config
 from rkhslab.rkhs import POINT_EVAL_SLACK
+from conftest import kernel_with_spectrum
 
 FINITE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -216,6 +217,36 @@ def test_cholesky_route_keeps_rank_and_verdicts(a, length, n):
     )
     assert (rank, verdicts) == (dense_rank, dense_verdicts)
     assert rank == n
+
+
+@given(
+    cutoff_exponent=st.floats(-14.0, -6.0),
+    margin_exponent=st.floats(-1.0, 6.0),
+    decades=st.floats(1.0, 8.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+@example(cutoff_exponent=-12.0, margin_exponent=1.5, decades=4.0, seed=0)
+@example(cutoff_exponent=-6.0, margin_exponent=0.2, decades=8.0, seed=1)
+@example(cutoff_exponent=-14.0, margin_exponent=4.0, decades=2.0, seed=2)
+@example(cutoff_exponent=-8.0, margin_exponent=0.5, decades=3.0, seed=3)
+def test_certified_rank_equals_eigvalsh_rank(cutoff_exponent, margin_exponent, decades, seed):
+    # a random spectrum from 1 down over ``decades`` decades, and one
+    # eigenvalue between a tenth of the cutoff and 1e6 times it; the reference
+    # reads its eigenvalues first, so its rank is eigvalsh's, or the dense
+    # eigh's where eigvalsh drops one, and no certificate runs
+    cutoff_rel = 10.0**cutoff_exponent
+    lam = 10.0 ** (-decades * np.random.default_rng(seed).random(512))
+    lam[0], lam[-1] = 1.0, cutoff_rel * 10.0**margin_exponent
+    K, reference = kernel_with_spectrum(lam), kernel_with_spectrum(lam)
+    reference.weighted_eigh.eigenvalues
+    rank = rl.spectral_data(K, cutoff_rel).numerical_rank
+    assert rank == rl.spectral_data(reference, cutoff_rel).numerical_rank
+    certified = K.weighted_eigh.rank_certified(cutoff_rel)
+    event(f"{K.weighted_eigh.decomposition}, certified {certified}")
+    if certified:
+        assert rank == 512 and K.weighted_eigh.decomposition == "cholesky"
+    assert not reference.weighted_eigh.rank_certified(cutoff_rel)
 
 
 #: translation-invariant sources: kernels of p - q, and indicator features with T = E

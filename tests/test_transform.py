@@ -1,10 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import rkhslab as rl
 from rkhslab.grid import random_samples
+from conftest import certificate_spectrum, orthonormal_columns
 
 
 @pytest.fixture(scope="module")
@@ -585,3 +588,71 @@ def test_wide_map_with_equal_rows_keeps_the_qr_rank(monkeypatch):
     f = rl.apply_forward(op, rl.DiscreteFunction(np.ones(op.grid_T.size), op.grid_T))
     with pytest.raises(rl.NotInjectiveError):
         rl.invert(op, f)
+
+
+def wide_op_with_spectrum(lam, n_E=1200):
+    """A wide map (|T| = ``lam.size``) whose T-side gram ``G = B Bᴴ`` has the eigenvalues ``lam``."""
+    r = lam.size
+    grid_T = rl.make_uniform_grid(0, 1, r, "midpoint")
+    grid_E = rl.make_uniform_grid(0, 1, n_E, "midpoint")
+    B = (orthonormal_columns(r, r) * np.sqrt(lam)) @ orthonormal_columns(n_E, r, seed=1).T
+    H = B / np.sqrt(grid_T.weights)[:, None] / np.sqrt(grid_E.weights)[None, :]
+    return rl.build_transform(rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H))
+
+
+class TestWideRankCertificate:
+    """On the ``wide`` route a shifted Cholesky of ``G`` decides a full rank only where ``eigvalsh`` does.
+
+    The cutoff is 1e-10 for the reason ``test_kernel.TestRankCertificate`` gives.
+    """
+
+    CUTOFF = 1e-10
+
+    @pytest.mark.parametrize("case, certified, rank", [
+        ("above-shift", True, 600), ("between", False, 600), ("below-cutoff", False, 599),
+    ])
+    def test_rank_agrees_with_eigvalsh(self, eigvalsh_calls, case, certified, rank):
+        lam = certificate_spectrum(600, case, self.CUTOFF)
+        op, reference = wide_op_with_spectrum(lam), wide_op_with_spectrum(lam)
+        assert op.weighted_eigh.decomposition == reference.weighted_eigh.decomposition == "wide"
+        expected = reference.weighted_eigh.eigenvalues
+        assert rl.spectral_data(reference, self.CUTOFF).numerical_rank == rank
+        eigvalsh_calls.clear()
+        inj = rl.check_injectivity(op, self.CUTOFF)
+        assert (inj.numerical_rank, inj.deficiency, inj.injective) == (rank, 600 - rank, rank == 600)
+        assert op.weighted_eigh.rank_certified(self.CUTOFF) is certified
+        assert len(eigvalsh_calls) == (0 if certified else 1)
+        spec = rl.spectral_data(op, self.CUTOFF)
+        if rank == 600:
+            assert spec.L is op.weighted_eigh.L and spec.F is op.weighted_eigh.F
+        else:
+            # a dropped eigenvalue reads the thin QR and small eigh
+            assert spec.L is None and spec.eigenvectors.shape == (1200, 600)
+        assert len(eigvalsh_calls) == (0 if certified else 1)
+        # eigenvalues read after the certificate are those read first, bit for bit,
+        # with the 600 structural zeros sorted in
+        np.testing.assert_array_equal(op.weighted_eigh.eigenvalues, expected)
+        assert np.count_nonzero(expected == 0.0) == 600
+
+
+@pytest.mark.parametrize("n_T, n_E, route", [(600, 600, "cholesky"), (600, 1200, "wide")],
+                         ids=["cholesky", "wide"])
+def test_invert_leaves_no_reference_cycle(n_T, n_E, route):
+    # a decomposition that referred back to its kernel would keep every array
+    # of an op alive until the cyclic collector ran
+    grid_T = rl.make_uniform_grid(0, 1, n_T, "midpoint")
+    grid_E = rl.make_uniform_grid(0, 1, n_E, "midpoint")
+    op = rl.build_transform(rl.make_feature_map(rl.FeatureFamily("indicator"), grid_T, grid_E))
+    source = rl.DiscreteFunction(np.random.default_rng(4).standard_normal(n_T), grid_T)
+    f = rl.apply_forward(op, source)
+    gc.disable()
+    try:
+        rl.invert(op, f)
+        eig = op.weighted_eigh
+        assert eig.decomposition == route
+        assert eig.rank_certified(rl.kernel.DEFAULT_CUTOFF_REL)
+        kernel_ref, eig_ref = weakref.ref(op), weakref.ref(eig)
+        del op, eig
+        assert kernel_ref() is None and eig_ref() is None
+    finally:
+        gc.enable()
