@@ -65,7 +65,12 @@ def _conditioning_block(kernel, cutoff_rel):
 
 
 def _diagnostics_block(kernel, cutoff_rel):
-    """Which route decomposed the weighted form, the error it certifies, and what decided the rank."""
+    """Which route decomposed the weighted form, the error it certifies, and what decided the rank.
+
+    Call it after the rank or the spectrum is read: on a Cholesky route not
+    yet factored, reading the route name factors the unshifted form, and a
+    rank query after it could no longer use the certificate's factor.
+    """
     eig = kernel.weighted_eigh
     return {
         "decomposition": eig.decomposition,
@@ -270,6 +275,7 @@ def run_invert(config: RunConfig, data_path, out_path):
         "output": str(out_path),
         "range_tolerance": config.range_tol,
     }
+    # the rank first: its shifted Cholesky is the factor ``invert`` solves with
     inj = check_injectivity(op, config.cutoff_rel)
     report["injectivity"] = dataclasses.asdict(inj)
     report["diagnostics"] = _diagnostics_block(op, config.cutoff_rel)

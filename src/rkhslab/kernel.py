@@ -27,11 +27,11 @@ That decomposition takes one of four routes:
   machine epsilon), the backward error of the dense ``eigh`` it replaces.
   By Weyl's inequality ``lambda_min(S) >= -err``, and the last eigenvalue
   slot carries that bound.  Its factor then takes one small ``eigh``.
-* ``cholesky``: otherwise, at n >= ``LOW_RANK_MIN_SIZE``, a full Cholesky
-  ``S = L Lᴴ`` is tried.  When it succeeds no eigenvectors are formed: at
-  a cutoff that keeps every eigenvalue the pseudo-inverse is the inverse,
-  and the solves are two triangular substitutions with ``L``.  A cutoff
-  that drops an eigenvalue reads the dense ``eigh``, run then, once
+* ``cholesky``: otherwise, at n >= ``LOW_RANK_MIN_SIZE``, ``S`` is factored
+  by a full Cholesky ``S = L Lᴴ``.  When it succeeds no eigenvectors are
+  formed: at a cutoff that keeps every eigenvalue the pseudo-inverse is the
+  inverse, and the solves are two triangular substitutions with ``L``.  A
+  cutoff that drops an eigenvalue reads the dense ``eigh``, run then, once
   (``KernelMatrix.dense_eigh``).
 * ``dense``: otherwise, or when ``S`` is not numerically positive definite,
   the n x n form is decomposed by one ``eigh``.
@@ -40,18 +40,30 @@ That decomposition takes one of four routes:
 yields eigenvectors with fewer columns than rows, or the wide Cholesky factor
 in their place, and its remaining eigenvalues are zeros.
 
-On the two Cholesky routes the spectrum is lazy: the form ``A`` factored
-(``S``, or ``G``) is held, and ``eigvalsh(A)`` runs at the first read of the
-eigenvalues.  Until then ``spectral_data`` decides whether a cutoff keeps
-every eigenvalue by a certificate: a Cholesky of ``A - c I``, with
-``c = cutoff_rel ||A||_F + 2 (r + 1) eps tr(A)`` for r x r ``A``.  Since
-``||A||_F >= lambda_max`` and the factorization's backward error is at most
-``2 (r + 1) eps tr(A)`` in norm (Higham, *Accuracy and Stability of Numerical
-Algorithms*, Thm 10.3), its success puts every eigenvalue above
-``cutoff_rel * lambda_max``, so the rank is r.  On failure ``eigvalsh``
-decides, so a rank below r is never decided by the certificate.  ``verify``
-reads the spectrum first and runs no certificate; ``invert`` reads only the
-rank and runs no ``eigvalsh``.
+On the two Cholesky routes nothing is factored when the route is chosen:
+the form ``A`` (``S``, or ``G``) is held, and its first read decides which
+factor is computed (``WeightedEigh``).
+
+* A read of the spectrum, the factor or the route name factors ``A``
+  itself, by LAPACK's Cholesky; ``eigvalsh(A)`` gives the eigenvalues when
+  they are read.  When ``A`` is not numerically positive definite the route
+  turns into ``dense``, or the thin QR of ``wide``, there and then.
+  ``verify`` reads the spectrum first: one Cholesky and one ``eigvalsh``.
+* A rank query while the eigenvalues are unread (``spectral_data``, which
+  ``invert`` reaches first) factors ``A - c I`` instead, with
+  ``c = cutoff_rel ||A||_F + 2 (r + 1) eps tr(A)`` for r x r ``A``.  That
+  one factorization does two jobs.  It certifies the rank: since
+  ``||A||_F >= lambda_max`` and the factorization's backward error is at
+  most ``2 (r + 1) eps tr(A)`` in norm (Higham, *Accuracy and Stability of
+  Numerical Algorithms*, Thm 10.3), its success puts every eigenvalue
+  above ``cutoff_rel * lambda_max``, so the rank is r.  And it is the solve
+  factor of ``invert``, which refines its solve on the data residual
+  (``transform.invert``).  ``A`` is then released.  Every other solve
+  (``_solve_columns``, ``_kept_diagonal``) first replaces the shifted factor
+  by one of ``A`` itself, formed anew (``WeightedEigh.drop_shift``).  When
+  the certificate fails, ``A`` itself is factored and ``eigvalsh`` decides,
+  so a rank below r is never decided by the certificate.  ``invert`` runs
+  one Cholesky, shifted, and no ``eigvalsh``.
 """
 from __future__ import annotations
 
@@ -82,22 +94,34 @@ PIVOT_STOP_REL = 1e-14
 
 
 class WeightedEigh:
-    """Eigenpairs of the weighted form, descending, and how they were computed.
+    """The weighted form's decomposition, and how it was computed.
 
     ``decomposition`` names the route: ``"dense"``, ``"wide"``,
     ``"low_rank"`` or ``"cholesky"``.  ``certified_error`` is
     ``||S - L Lᴴ||_F`` of the low-rank factor, and 0 on the exact routes.
-    When the Cholesky factor takes the eigenvectors' place, ``eigenvectors``
-    is None and ``L`` is lower-triangular: on the ``cholesky`` route
-    ``S = L Lᴴ``, and on the ``wide`` route ``G = Fᴴ F = L Lᴴ`` for the
-    exact n x r factor ``S = F Fᴴ`` held in ``F``.  Otherwise ``L`` and
-    ``F`` are None.  On those two routes ``eigenvalues`` is computed at its
-    first read, by ``eigvalsh`` of the form factored, and ``keeps_all``
-    decides the full rank without it (see the module docstring).
+    On the eigenvector routes ``eigenvalues`` (descending) and
+    ``eigenvectors`` are set when it is built, and ``L`` and ``F`` are None.
 
-    That form, ``S`` or ``G``, is held until its first read, which consumes
-    it: ``eigvalsh`` reads it, the certificate factors it in place.  A later
-    read forms it again with ``reform``, the expression
+    On the two Cholesky routes a Cholesky factor ``L`` takes the
+    eigenvectors' place: on the ``cholesky`` route of ``S``, on the ``wide``
+    route of ``G = Fᴴ F`` for the exact n x r factor ``S = F Fᴴ`` held in
+    ``F``.  The form ``A`` (``S`` or ``G``) is held unfactored, and the first
+    read decides how it is factored (module docstring):
+
+    * ``keeps_all`` with the eigenvalues unread factors ``A - c I``, with
+      the certificate's shift ``c``; its factor is kept, ``shift`` is ``c``
+      and ``solve`` solves with ``A - c I``;
+    * any other read (``eigenvalues``, ``eigenvectors``, ``L``,
+      ``decomposition``) factors ``A`` itself, and when ``A`` is not
+      numerically positive definite the route turns into the eigenvector
+      one, ``dense`` or the thin QR of ``wide``.  Reading the route name
+      is such a read: before a rank query it costs ``invert`` a second
+      factorization.
+
+    ``drop_shift`` replaces a shifted factor by the unshifted one.
+    ``eigenvalues`` are ``eigvalsh(A)``'s, run at their first read.  That
+    read, a certificate that succeeds and ``drop_shift`` release ``A``; a
+    later read forms it again with ``reform``, the expression
     ``KernelMatrix.weighted_eigh`` used.  ``reform`` binds arrays only: a
     reference to the kernel would make a cycle with the decomposition the
     kernel caches.
@@ -109,51 +133,103 @@ class WeightedEigh:
         eigenvectors: np.ndarray | None,
         decomposition: str,
         certified_error: float,
-        L: np.ndarray | None = None,
         F: np.ndarray | None = None,
         form: np.ndarray | None = None,
         reform: Callable[[], np.ndarray] | None = None,
     ):
         self._eigenvalues = eigenvalues
-        self.eigenvectors = eigenvectors
-        self.decomposition = decomposition
+        self._eigenvectors = eigenvectors
+        self._decomposition = decomposition
         self.certified_error = certified_error
-        self.L = L
         self.F = F
+        self._L: np.ndarray | None = None
+        self.shift = 0.0
         self._form = form
         self._reform = reform
         self._certified: set[float] = set()
 
-    def _take_form(self) -> np.ndarray:
-        """The form factored, the held array at the first call and formed anew after."""
-        form, self._form = self._form, None
-        return self._reform() if form is None else form
+    def _held_form(self) -> np.ndarray:
+        """The form factored, held, or formed anew once it was released."""
+        if self._form is None:
+            self._form = self._reform()
+        return self._form
+
+    def _resolve(self) -> None:
+        """On a Cholesky route not yet factored, factor ``A``, or fall back to eigenvectors."""
+        if self._reform is None or self._L is not None:
+            return
+        A = self._held_form()
+        try:
+            self._L = np.linalg.cholesky(A)
+            return
+        except np.linalg.LinAlgError:
+            pass
+        # not numerically positive definite: eigenvectors decide, as on the routes below the floor
+        fallback = _dense_eigh(A) if self.F is None else _factor_eigh(self.F, "wide")
+        self._eigenvalues, self._eigenvectors = fallback._eigenvalues, fallback._eigenvectors
+        self._decomposition = fallback._decomposition
+        self.F = self._form = self._reform = None
+
+    @property
+    def decomposition(self) -> str:
+        self._resolve()
+        return self._decomposition
+
+    @property
+    def eigenvectors(self) -> np.ndarray | None:
+        self._resolve()
+        return self._eigenvectors
+
+    @property
+    def L(self) -> np.ndarray | None:
+        self._resolve()
+        return self._L
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """The eigenvalues of ``S``, descending; ``eigvalsh``'s on a Cholesky route, run once."""
+        self._resolve()
         if self._eigenvalues is None:
-            lam = np.linalg.eigvalsh(self._take_form())[::-1]
+            lam = np.linalg.eigvalsh(self._held_form())[::-1]
+            self._form = None
             self._eigenvalues = lam if self.F is None else _with_zeros(lam, self.F.shape[0])
         return self._eigenvalues
 
     def keeps_all(self, cutoff_rel: float) -> bool:
-        """Whether ``cutoff_rel * lambda_max`` keeps every eigenvalue ``L`` inverts.
+        """Whether a Cholesky factor inverts every eigenvalue ``cutoff_rel * lambda_max`` keeps.
 
-        While the eigenvalues are unread the shifted Cholesky may certify it,
-        once per cutoff; otherwise, or when it fails, the eigenvalues decide.
-        Only the two Cholesky routes, which set ``L``, answer this.
+        False on an eigenvector route.  While the eigenvalues are unread the
+        shifted Cholesky may certify it, once per cutoff, and its factor
+        becomes ``L`` when none is held yet; otherwise, or when it fails,
+        the eigenvalues decide.
         """
+        if self._reform is None:
+            return False
         if cutoff_rel in self._certified:
             return True
-        if self._eigenvalues is None and _certifies_full_rank(self._take_form(), cutoff_rel):
-            self._certified.add(cutoff_rel)
-            return True
-        return _rank(self.eigenvalues, cutoff_rel) == self.L.shape[0]
+        if self._eigenvalues is None:
+            certificate = _certifies_full_rank(self._held_form(), cutoff_rel)
+            if certificate is not None:
+                self._certified.add(cutoff_rel)
+                if self._L is None:
+                    self._L, self.shift = certificate
+                self._form = None
+                return True
+        lam = self.eigenvalues
+        # reading them factored A, or turned the route into an eigenvector one
+        return self._reform is not None and _rank(lam, cutoff_rel) == self._L.shape[0]
 
     def rank_certified(self, cutoff_rel: float) -> bool:
         """Whether the shifted Cholesky, not the eigenvalues, decided the rank at this cutoff."""
         return cutoff_rel in self._certified
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``(A - shift I)⁻¹ b`` by the held factor."""
+        return _cholesky_solve(self.L, b)
+
+    def drop_shift(self) -> None:
+        """Replace the certificate's shifted factor by a factor of ``A`` itself, then release ``A``."""
+        self._L, self.shift, self._form = np.linalg.cholesky(self._held_form()), 0.0, None
 
 
 def _finite_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,11 +242,28 @@ def _finite_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return product
 
 
+#: side of the tiles ``_hermitian_part`` pairs up
+HERMITIAN_TILE = 128
+
+
 def _hermitian_part(A: np.ndarray) -> np.ndarray:
-    """``(A + Aᴴ) / 2``, written over ``A``, which must be a square array of the caller's own."""
-    # halving first cannot overflow; the overlapping transpose is read before A is written
+    """``(A + Aᴴ) / 2``, written over ``A``, which must be a square array of the caller's own.
+
+    Bit for bit ``B + Bᴴ`` with ``B = A / 2``, formed tile pair by tile pair:
+    ``A += Aᴴ`` would overlap itself, and numpy would buffer a whole copy.
+    """
+    # halving first cannot overflow
     A *= 0.5
-    A += A.conj().T
+    n_dim = A.shape[0]
+    for i0 in range(0, n_dim, HERMITIAN_TILE):
+        i1 = min(i0 + HERMITIAN_TILE, n_dim)
+        for j0 in range(i0, n_dim, HERMITIAN_TILE):
+            j1 = min(j0 + HERMITIAN_TILE, n_dim)
+            upper, lower = A[i0:i1, j0:j1], A[j0:j1, i0:i1]
+            # both sums are read from the halves before either tile is written
+            new_upper = upper + lower.conj().T
+            lower += upper.conj().T
+            upper[...] = new_upper
     return A
 
 
@@ -217,51 +310,6 @@ def _factor_eigh(factor: np.ndarray, decomposition: str, error: float = 0.0) -> 
     return WeightedEigh(lam, Q @ V[:, order], decomposition, error)
 
 
-def _cholesky_eigh(
-    A: np.ndarray, reform: Callable[[], np.ndarray], F: np.ndarray | None = None
-) -> WeightedEigh | None:
-    """A Cholesky factor of ``A`` in place of eigenvectors, with ``A`` held for a lazy spectrum.
-
-    ``A`` is ``S`` itself (the ``cholesky`` route), or, with ``F`` given, the
-    gram ``G = Fᴴ F`` of an exact factor ``S = F Fᴴ``, whose r eigenvalues
-    are the nonzero ones of ``S`` (the ``wide`` route).  ``reform`` forms
-    ``A`` again (``WeightedEigh``).  Returns None when ``A`` is not
-    numerically positive definite.
-    """
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        return None
-    route = "cholesky" if F is None else "wide"
-    return WeightedEigh(None, None, route, 0.0, L, F, form=A, reform=reform)
-
-
-#: rows per block of ``_cholesky_in_place``, as in ``_cholesky_solve``
-CHOLESKY_BLOCK = 256
-
-
-def _cholesky_in_place(A: np.ndarray) -> bool:
-    """Whether the Hermitian ``A`` is numerically positive definite; overwrites ``A``.
-
-    A left-looking blocked Cholesky writes ``L`` over the lower triangle of
-    ``A`` and reads nothing above it.  Each block column is updated by one
-    matrix product with the columns already factored, its diagonal block
-    factored by ``np.linalg.cholesky`` and the panel below it solved against
-    that factor.  The largest temporary is one block column.
-    """
-    n_dim = A.shape[0]
-    for j0 in range(0, n_dim, CHOLESKY_BLOCK):
-        j1 = min(j0 + CHOLESKY_BLOCK, n_dim)
-        A[j0:, j0:j1] -= A[j0:, :j0] @ A[j0:j1, :j0].conj().T
-        try:
-            A[j0:j1, j0:j1] = np.linalg.cholesky(A[j0:j1, j0:j1])
-        except np.linalg.LinAlgError:
-            return False
-        # the panel P below solves P Lᴴ = A[j1:, j0:j1], as L Pᴴ = A[j1:, j0:j1]ᴴ
-        A[j1:, j0:j1] = np.linalg.solve(A[j0:j1, j0:j1], A[j1:, j0:j1].conj().T).conj().T
-    return True
-
-
 def _certificate_shift(A: np.ndarray, cutoff_rel: float) -> float:
     """``c = cutoff_rel ||A||_F + 2 (r + 1) eps tr(A)``, the shift of the rank certificate."""
     r_dim = A.shape[0]
@@ -269,17 +317,24 @@ def _certificate_shift(A: np.ndarray, cutoff_rel: float) -> float:
     return cutoff_rel * float(np.linalg.norm(A)) + 2 * (r_dim + 1) * np.finfo(float).eps * trace
 
 
-def _certifies_full_rank(A: np.ndarray, cutoff_rel: float) -> bool:
-    """Whether a Cholesky of ``A - c I`` succeeds (``_certificate_shift``); overwrites ``A``.
+def _certifies_full_rank(A: np.ndarray, cutoff_rel: float) -> tuple[np.ndarray, float] | None:
+    """The Cholesky factor of ``A - c I`` and ``c`` (``_certificate_shift``), or None when it fails.
 
     Success puts every eigenvalue of ``A`` above ``cutoff_rel * lambda_max``
-    even after the factorization's backward error (module docstring).
+    even after the factorization's backward error (module docstring).  The
+    diagonal of ``A`` is shifted in place and restored bit for bit.
     """
     shift = _certificate_shift(A, cutoff_rel)
     if not math.isfinite(shift):
-        return False
+        return None
+    diagonal = A.diagonal().copy()
     A.flat[:: A.shape[0] + 1] -= shift
-    return _cholesky_in_place(A)
+    try:
+        return np.linalg.cholesky(A), shift
+    except np.linalg.LinAlgError:
+        return None
+    finally:
+        A.flat[:: A.shape[0] + 1] = diagonal
 
 
 def _pivoted_cholesky(S: np.ndarray, max_rank: int) -> np.ndarray | None:
@@ -371,25 +426,25 @@ class KernelMatrix:
         This is where the route is chosen (see the module docstring): the
         ``wide`` route when ``exact_factor`` supplies one, else the
         ``low_rank``, then the ``cholesky`` route, and the dense ``eigh``
-        when neither applies.  The pivoted and full Cholesky attempts run
-        from ``LOW_RANK_MIN_SIZE`` on the side decomposed: r for a wide
-        factor, whose thin QR runs otherwise, and n for any other kernel.
-        The result holds eigenvectors or a Cholesky factor ``L``, which
-        takes their place in memory.  ``S`` (or ``G``) itself is kept by a
-        Cholesky route only until its spectrum or rank certificate reads it.
+        when neither applies.  The pivoted Cholesky and the Cholesky routes
+        apply from ``LOW_RANK_MIN_SIZE`` on the side decomposed: r for a
+        wide factor, whose thin QR runs otherwise, and n for any other kernel.
+        The result holds eigenvectors or, once factored, a Cholesky factor
+        ``L``, which takes their place in memory.  A Cholesky route holds
+        ``S`` (or ``G``) unfactored until its first read, which decides
+        whether ``S`` itself or the rank certificate's ``S - c I`` is
+        factored, and whether the route turns into ``dense`` (or the thin
+        QR) after all (``WeightedEigh``).
         """
         factor = self.exact_factor()
         S = _weighted_form(self.gram, self.grid.weights) if factor is None else None
         side = self.size if factor is None else factor.shape[1]
         if side >= LOW_RANK_MIN_SIZE:
-            if factor is None:
-                reform = partial(_weighted_form, self.gram, self.grid.weights)
-                eig = _low_rank_eigh(S) or _cholesky_eigh(S, reform)
-            else:
-                eig = _cholesky_eigh(_factor_gram(factor), partial(_factor_gram, factor), factor)
-            if eig is not None:
-                return eig
-        # not numerically positive definite, or below the floor: eigenvectors decide
+            if factor is not None:
+                reform = partial(_factor_gram, factor)
+                return WeightedEigh(None, None, "wide", 0.0, factor, reform(), reform)
+            reform = partial(_weighted_form, self.gram, self.grid.weights)
+            return _low_rank_eigh(S) or WeightedEigh(None, None, "cholesky", 0.0, None, S, reform)
         if factor is not None:
             return _factor_eigh(factor, "wide")
         return _dense_eigh(S)
@@ -425,23 +480,22 @@ class SpectralData:
 
     When a Cholesky factor stands in for the eigenvectors and the cutoff
     keeps every eigenvalue it inverts, ``eigenvectors`` is None and the
-    solves run through ``L``; the eigenvalues are ``eigvalsh``'s.  On the
-    ``cholesky`` route that is all n eigenvalues and ``S = L Lᴴ``; on the
-    ``wide`` route it is the r nonzero ones, ``F`` is the exact factor
-    ``S = F Fᴴ`` and ``G = Fᴴ F = L Lᴴ``.  There ``eigenvalues`` and
-    ``cutoff`` are computed at their first read, and the rank may come from
-    the shifted Cholesky instead (``WeightedEigh.keeps_all``).  At a cutoff
-    that drops one, every field comes from the decomposition with
-    eigenvectors (``KernelMatrix.dense_eigh``) and ``L`` and ``F`` are None,
-    as on every other route.
+    solves run through ``L``, a factor of ``A - c I``: ``c`` is the rank
+    certificate's shift when its factor is held, else 0
+    (``WeightedEigh.keeps_all``).  On the ``cholesky`` route ``A = S`` and the
+    eigenvalues are all n; on the ``wide`` route they are the r nonzero
+    ones, ``F`` is the exact factor ``S = F Fᴴ`` and ``A = G = Fᴴ F``.  There
+    ``eigenvalues`` and ``cutoff`` are ``eigvalsh``'s, computed at their
+    first read, and ``L`` is read from the decomposition, whose
+    ``drop_shift`` may replace it.  At a cutoff that drops one,
+    every field comes from the decomposition with eigenvectors
+    (``KernelMatrix.dense_eigh``) and ``L`` and ``F`` are None, as on every
+    other route.
     """
 
     def __init__(self, eig: WeightedEigh, cutoff_rel: float, numerical_rank: int | None = None):
         self._eig = eig
         self._cutoff_rel = cutoff_rel
-        self.eigenvectors = eig.eigenvectors
-        self.L = eig.L
-        self.F = eig.F
         if numerical_rank is None:
             numerical_rank = _rank(eig.eigenvalues, cutoff_rel)
         self.numerical_rank = numerical_rank
@@ -449,6 +503,18 @@ class SpectralData:
     @property
     def eigenvalues(self) -> np.ndarray:
         return self._eig.eigenvalues
+
+    @property
+    def eigenvectors(self) -> np.ndarray | None:
+        return self._eig.eigenvectors
+
+    @property
+    def L(self) -> np.ndarray | None:
+        return self._eig.L
+
+    @property
+    def F(self) -> np.ndarray | None:
+        return self._eig.F
 
     @property
     def cutoff(self) -> float:
@@ -565,16 +631,26 @@ def spectral_data(K: KernelMatrix, cutoff_rel: float = DEFAULT_CUTOFF_REL) -> Sp
     On a Cholesky route whose eigenvalues are still unread, a shifted
     Cholesky may certify that the cutoff keeps all of them, and no
     ``eigvalsh`` runs (module docstring); its outcome is cached per cutoff.
+    The first certificate's factor is held for ``invert``, and the other
+    solves replace it by the unshifted factor (``_solve_spectrum``).
     """
     if not 0 < cutoff_rel < 1:
         raise ValueError("cutoff_rel must lie in (0, 1)")
     eig = K.weighted_eigh
-    if eig.L is not None:
-        if eig.keeps_all(cutoff_rel):
-            return SpectralData(eig, cutoff_rel, eig.L.shape[0])
+    if eig.keeps_all(cutoff_rel):
+        return SpectralData(eig, cutoff_rel, eig.L.shape[0])
+    if eig.eigenvectors is None:
         # a Cholesky factor inverts its whole matrix only: dropping needs eigenvectors
         eig = K.dense_eigh
     return SpectralData(eig, cutoff_rel)
+
+
+def _solve_spectrum(K: KernelMatrix, cutoff_rel: float) -> SpectralData:
+    """``spectral_data``, with any Cholesky factor one of ``A`` itself, not the certificate's ``A - c I``."""
+    spec = spectral_data(K, cutoff_rel)
+    if K.weighted_eigh.shift:
+        K.weighted_eigh.drop_shift()
+    return spec
 
 
 def _kept_diagonal(K: KernelMatrix, cutoff_rel: float = DEFAULT_CUTOFF_REL) -> np.ndarray:
@@ -585,7 +661,7 @@ def _kept_diagonal(K: KernelMatrix, cutoff_rel: float = DEFAULT_CUTOFF_REL) -> n
     factor of ``S``: ``(L Lᴴ)_qq`` on the ``cholesky`` route, ``(F Fᴴ)_qq``
     on the ``wide`` one.  In exact arithmetic the two agree.  O(n rank) work.
     """
-    spec = spectral_data(K, cutoff_rel)
+    spec = _solve_spectrum(K, cutoff_rel)
     if spec.L is not None:
         factor = spec.L if spec.F is None else spec.F
         return np.einsum("ij,ij->i", factor, factor.conj()).real
@@ -621,21 +697,27 @@ def apply_operator(K: KernelMatrix, f: DiscreteFunction) -> DiscreteFunction:
     return DiscreteFunction(values=K.gram @ (K.grid.weights * f.values), grid=K.grid)
 
 
+#: rows per block of ``_cholesky_solve``
+SOLVE_BLOCK = 64
+
+
 def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``y`` with ``L Lᴴ y = b`` for lower-triangular ``L``: forward, then back substitution.
 
-    Both run in blocks of rows: ``np.linalg.solve`` on each diagonal block,
-    after a matrix product subtracts the blocks already solved.
+    Both run in blocks of ``SOLVE_BLOCK`` rows: ``np.linalg.solve`` on each
+    diagonal block, after a matrix product subtracts the blocks already
+    solved.  ``np.linalg.solve`` LU-factors each block it is given, so the
+    blocks are kept small: that work grows with their size, while the
+    products cost the same.
     """
     n_dim = L.shape[0]
-    block = 256
-    starts = range(0, n_dim, block)
+    starts = range(0, n_dim, SOLVE_BLOCK)
     y = np.empty(b.shape, dtype=np.result_type(L, b))
     for r0 in starts:
-        r1 = min(r0 + block, n_dim)
+        r1 = min(r0 + SOLVE_BLOCK, n_dim)
         y[r0:r1] = np.linalg.solve(L[r0:r1, r0:r1], b[r0:r1] - L[r0:r1, :r0] @ y[:r0])
     for r0 in reversed(starts):
-        r1 = min(r0 + block, n_dim)
+        r1 = min(r0 + SOLVE_BLOCK, n_dim)
         # rows r0:r1 of Lᴴ y = (forward result), with the later rows of y already solved
         rhs = y[r0:r1] - L[r1:, r0:r1].conj().T @ y[r1:]
         y[r0:r1] = np.linalg.solve(L[r0:r1, r0:r1].conj().T, rhs)
@@ -655,9 +737,11 @@ def _solve_columns(
     the residuals are 0, and ``S y = sqrt(W) rhs`` is solved with ``L``.
     When the ``wide`` route keeps every nonzero one, ``S = F Fᴴ`` with
     ``G = Fᴴ F = L Lᴴ``: the pseudo-inverse is ``F G⁻² Fᴴ``, and
-    ``F G⁻¹ Fᴴ`` projects onto the range.
+    ``F G⁻¹ Fᴴ`` projects onto the range.  The factor is of ``S`` (or ``G``)
+    itself: the rank certificate's factor of the shifted form is replaced
+    first (``_solve_spectrum``).
     """
-    spec = spectral_data(K, cutoff_rel)
+    spec = _solve_spectrum(K, cutoff_rel)
     sw = np.sqrt(K.grid.weights)
     single = rhs.ndim == 1
     cols = rhs[:, None] if single else rhs

@@ -13,7 +13,8 @@ cached decomposition at one cutoff.
 
 Building it does no n x n work.  ``apply_forward`` and ``apply_adjoint`` are
 matvecs, ``Hᴴ (m∘F)`` and ``H (w∘g)``; only ``verify_identities``, which
-needs their product, forms the two matrices.  The gram is formed on first
+needs their product, forms the two matrices, in blocks and never whole.
+The gram is formed on first
 read, with its Hermitian defect, as ``Cᴴ C`` with ``C = diag(√m) H``: one
 syrk for a real map, exactly symmetric.  ``verify`` and ``analyze`` read it
 once, a square or tall ``invert`` once for its decomposition, and a wide
@@ -26,18 +27,23 @@ when |T| < |E|, the exact factor ``Bᴴ`` (``InducedKernel.exact_factor``).
 map's spectrum comes from its |T| x |T| side (the ``wide`` route), and a
 square or tall map's |E| x |E| form, then the smaller side, is decomposed
 like any other gram's.  From |T| = ``LOW_RANK_MIN_SIZE`` the wide route
-factors ``G = B Bᴴ = L Lᴴ`` by one syrk and one Cholesky, with no
-eigenvectors: the spectrum comes from ``eigvalsh(G)`` where it is read, and
-a full rank from a shifted Cholesky of ``G`` where only the rank is, as in
-``invert`` (``kernel.spectral_data``); below that size, or when
-``G`` is not numerically positive definite, a thin QR of ``Bᴴ`` and one
-|T| x |T| ``eigh`` run.  ``invert`` on the Cholesky factor solves the
-inversion formula on the T side, ``F = (L*L)⁻¹ L* f``.
+forms ``G = B Bᴴ`` by one syrk and factors it by one Cholesky, with no
+eigenvectors: ``G = L Lᴴ`` where the spectrum is read first, and
+``eigvalsh(G)`` gives it; ``G - c I = L Lᴴ`` where only the rank is, as in
+``invert``, which certifies a full rank and is the solve factor
+(``kernel.spectral_data``).  Below that size, or when ``G`` is not
+numerically positive definite, a thin QR of ``Bᴴ`` and one |T| x |T|
+``eigh`` run.  ``invert`` on the Cholesky factor solves the inversion
+formula on the T side, ``F = (L*L)⁻¹ L* f``, and on either Cholesky route
+refines the solve on the data residual, through the feature map; a
+shifted factor whose refinement does not converge in a few steps gives
+way to the unshifted one (``invert``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -47,7 +53,7 @@ from .kernel import (
     DEFAULT_CUTOFF_REL,
     DEFAULT_RANGE_TOL,
     KernelMatrix,
-    _cholesky_solve,
+    WeightedEigh,
     _hermitian_gram,
     _solve_columns,
     condition_number,
@@ -166,19 +172,27 @@ def build_transform(feature: FeatureMap) -> InducedKernel:
     return InducedKernel(feature)
 
 
+def _forward_values(op: InducedKernel, F: np.ndarray) -> np.ndarray:
+    """``Hᴴ (m∘F)`` for samples ``F`` on grid T."""
+    # (conj(x) H)ᴴ = Hᴴ x, without a conjugated copy of H
+    return ((op.grid_T.weights * F).conj() @ op.feature.matrix).conj()
+
+
+def _adjoint_values(op: InducedKernel, g: np.ndarray) -> np.ndarray:
+    """``H (w∘g)`` for samples ``g`` on grid E."""
+    return op.feature.matrix @ (op.grid_E.weights * g)
+
+
 def apply_forward(op: InducedKernel, F: DiscreteFunction) -> DiscreteFunction:
     """Apply the transform to a function on grid T, yielding one on grid E: ``Hᴴ (m∘F)``."""
     ensure_aligned(F, op.grid_T)
-    mF = op.grid_T.weights * F.values
-    # (conj(x) H)ᴴ = Hᴴ x, without a conjugated copy of H
-    return DiscreteFunction(values=(mF.conj() @ op.feature.matrix).conj(), grid=op.grid_E)
+    return DiscreteFunction(values=_forward_values(op, F.values), grid=op.grid_E)
 
 
 def apply_adjoint(op: InducedKernel, g: DiscreteFunction) -> DiscreteFunction:
     """Apply the weighted-L2 adjoint to a function on grid E: ``H (w∘g)``."""
     ensure_aligned(g, op.grid_E)
-    wg = op.grid_E.weights * g.values
-    return DiscreteFunction(values=op.feature.matrix @ wg, grid=op.grid_T)
+    return DiscreteFunction(values=_adjoint_values(op, g.values), grid=op.grid_T)
 
 
 def check_injectivity(
@@ -192,8 +206,8 @@ def check_injectivity(
     eigenvalues above ``cutoff_rel * lambda_max`` (``sigma > sqrt(cutoff_rel)
     sigma_max``) in the cached decomposition the solves use.  On the
     ``cholesky`` and ``wide`` routes, while the spectrum is unread, a full
-    rank is certified by a shifted Cholesky and no eigenvalues are computed
-    (``kernel.spectral_data``).
+    rank is certified by a shifted Cholesky, which the solves then use, and
+    no eigenvalues are computed (``kernel.spectral_data``).
     """
     rank = spectral_data(op, cutoff_rel).numerical_rank
     m_dim = op.grid_T.size
@@ -205,6 +219,50 @@ def check_injectivity(
 def _column_norms(weights: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Weighted-L2 norm of every column of ``mat`` under quadrature ``weights``."""
     return np.sqrt(np.sum(weights[:, None] * np.abs(mat) ** 2, axis=0))
+
+
+#: most rows per block of the n x n products ``verify_identities`` measures
+ROW_BLOCK = 512
+
+
+def _row_slices(n_rows: int) -> list[slice]:
+    """Consecutive slices of at most ``ROW_BLOCK`` rows, of near-equal sizes, covering ``n_rows``."""
+    count = -(-n_rows // ROW_BLOCK)
+    edges = [k * n_rows // count for k in range(count + 1)]
+    return [slice(r0, r1) for r0, r1 in zip(edges[:-1], edges[1:])]
+
+
+def _forward_rows(op: InducedKernel, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of the forward matrix ``Hᴴ diag(m)``, as a transposed view."""
+    return (op.feature.matrix[:, rows] * op.grid_T.weights[:, None]).conj().T
+
+
+def _adjoint_rows(op: InducedKernel, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of the adjoint matrix ``H diag(w)``."""
+    return op.feature.matrix[rows] * op.grid_E.weights[None, :]
+
+
+def _factorization_residual(op: InducedKernel) -> float:
+    """``||K W - (Hᴴ diag m)(H diag w)||_F / ||K W||_F``, summed over tiles of both products.
+
+    ``K W = gram diag(w)`` is the induced operator.  Neither n x n product is
+    formed whole: the adjoint is formed in two halves of its columns, and
+    each tile of the gap is a block of forward rows (``_row_slices``) times
+    one half, less the same tile of ``K W``.
+    """
+    H, w = op.feature.matrix, op.grid_E.weights
+    half = op.size // 2
+    lhs_norms, gap_norms = [], []
+    for cols in (slice(0, half), slice(half, op.size)):
+        adjoint = H[:, cols] * w[None, cols]
+        for rows in _row_slices(op.size):
+            gap = _forward_rows(op, rows) @ adjoint
+            lhs = op.gram[rows, cols] * w[None, cols]
+            lhs_norms.append(np.linalg.norm(lhs))
+            gap -= lhs
+            gap_norms.append(np.linalg.norm(gap))
+    lhs_norm = float(np.linalg.norm(lhs_norms))
+    return float(np.linalg.norm(gap_norms) / lhs_norm) if lhs_norm > 0 else 0.0
 
 
 def verify_identities(
@@ -228,29 +286,30 @@ def verify_identities(
     # the decomposition behind the rank runs before the n x n products below exist
     inj = check_injectivity(op, cutoff_rel)
 
-    # forward Hᴴ diag(m) and adjoint H diag(w) as matrices: the factorization needs their product
-    forward = op.feature.matrix.conj().T * m[None, :]
-    adjoint = op.feature.matrix * w[None, :]
-    # factorization: induced operator == forward @ adjoint; the gap is formed in place
-    lhs = op.gram * w[None, :]
-    rhs = forward @ adjoint
-    lhs_norm = float(np.linalg.norm(lhs))
-    rhs -= lhs
-    factorization = float(np.linalg.norm(rhs) / lhs_norm) if lhs_norm > 0 else 0.0
-    del lhs, rhs
+    # factorization: induced operator == forward @ adjoint, with forward
+    # Hᴴ diag(m) and adjoint H diag(w) formed a block of rows at a time
+    factorization = _factorization_residual(op)
+    n_T, n_E = op.grid_T.size, op.grid_E.size
 
-    F = random_samples(rng, op.grid_T.size, trials, complex_mode)
-    G = random_samples(rng, op.grid_T.size, trials, complex_mode)
-    f_img = forward @ F
-    g_img = forward @ G
+    F = random_samples(rng, n_T, trials, complex_mode)
+    G = random_samples(rng, n_T, trials, complex_mode)
+    g_rand = random_samples(rng, n_E, trials, complex_mode)
+    # every trial image in one pass over the forward rows, every adjoint in one more
+    images = np.hstack([F, G])
+    f_img, g_img = np.hsplit(
+        np.concatenate([_forward_rows(op, rows) @ images for rows in _row_slices(n_E)]), 2
+    )
     x, _ = _solve_columns(op, f_img, cutoff_rel)
+    sources = np.hstack([x, f_img, g_rand])
+    back, plain_back, g_rand_back = np.hsplit(
+        np.concatenate([_adjoint_rows(op, rows) @ sources for rows in _row_slices(n_T)]), 3
+    )
 
     f_norms = _column_norms(m, F)
     g_norms = _column_norms(m, G)
 
-    back = adjoint @ x
     roundtrip = float(np.max(_column_norms(m, back - F) / f_norms))
-    plain = float(np.max(_column_norms(m, adjoint @ f_img - F) / f_norms))
+    plain = float(np.max(_column_norms(m, plain_back - F) / f_norms))
 
     # [LF, LG] via the solved K^{-1} LF against LG in the E-grid product
     space_inner = np.sum(w[:, None] * x * np.conj(g_img), axis=0)
@@ -262,9 +321,8 @@ def verify_identities(
     norm_defect = float(np.max(np.abs(image_norms - f_norms) / f_norms))
 
     # duality pairing (LF, g)_E == (F, L* g)_T on fresh random pairs
-    g_rand = random_samples(rng, op.grid_E.size, trials, complex_mode)
     pair_lhs = np.sum(w[:, None] * f_img * np.conj(g_rand), axis=0)
-    pair_rhs = np.sum(m[:, None] * F * np.conj(adjoint @ g_rand), axis=0)
+    pair_rhs = np.sum(m[:, None] * F * np.conj(g_rand_back), axis=0)
     g_rand_norms = _column_norms(w, g_rand)
     adjointness = float(np.max(np.abs(pair_lhs - pair_rhs) / (f_norms * g_rand_norms)))
 
@@ -284,6 +342,54 @@ def verify_identities(
     )
 
 
+#: refinement steps a shifted factor may take before the unshifted factor replaces it
+REFINE_STEPS = 5
+
+#: a refinement correction is at rounding level when it is at most this many ulps of the solution
+ROUNDING_ULPS = 8
+
+
+def _refined_solve(
+    eig: WeightedEigh,
+    data: np.ndarray,
+    forward: Callable[[np.ndarray], np.ndarray],
+    correct: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """``x`` with ``forward(x) = data``, where ``correct`` solves it through ``eig.solve``.
+
+    Iterative refinement, ``x += correct(data - forward(x))`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Ch. 12).  With the
+    certificate's factor of ``A - c I`` every step contracts the error by
+    ``c / (lambda_min - c)``, so the steps continue until the correction
+    reaches rounding level, ``ROUNDING_ULPS * eps ||x||``: the last
+    correction, or the next one extrapolated from the last two, in every
+    column.  When a correction is not at most half the one before, or
+    ``REFINE_STEPS`` do not suffice (the iteration diverges from
+    ``lambda_min <= 2 c``), ``eig.drop_shift`` factors ``A`` itself.  With
+    an unshifted factor ``x`` is solved and takes one step.
+    """
+    x = correct(data)
+    if eig.shift:
+        ulps = ROUNDING_ULPS * np.finfo(float).eps
+        previous = None
+        for _ in range(REFINE_STEPS):
+            step = correct(data - forward(x))
+            x = x + step
+            size, scale = np.linalg.norm(step, axis=0), np.linalg.norm(x, axis=0)
+            if previous is None:
+                converged = size <= ulps * scale
+            else:
+                if np.any(size > previous / 2):
+                    break
+                converged = size * size <= ulps * scale * previous
+            if np.all(converged):
+                return x
+            previous = size
+        eig.drop_shift()
+        x = correct(data)
+    return x + correct(data - forward(x))
+
+
 def invert(
     op: InducedKernel,
     f: DiscreteFunction,
@@ -294,14 +400,20 @@ def invert(
 
     Applies the adjoint composed with the inverse kernel operator,
     ``F = L*(K⁻¹ f)``, the left inverse of an injective transform.  When the
-    ``wide`` route factored ``G = B Bᴴ = L Lᴴ`` (``B = √m H √w``) the same
-    formula is solved on the T side, ``F = (L*L)⁻¹ L* f``, as
-    ``G⁻¹ (B √w f) / √m`` by triangular substitutions with ``L``, and one
-    step of iterative refinement on the residual ``√w f - Bᴴ (√m F)`` (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, Ch. 12), which makes
-    up the accuracy the normal equations lose to ``cond(G) = cond(B)²``.
-    The range residual ``||forward(F) - f|| / ||f||`` measures how far ``f``
-    sits from the transform range; above ``range_tol`` a
+    ``wide`` route factored ``G = B Bᴴ`` (``B = √m H √w``) the same formula
+    is solved on the T side, ``F = (L*L)⁻¹ L* f``, as ``z = G⁻¹ (B √w f)``
+    and ``F = z / √m``.  On both Cholesky routes the solve is refined on the
+    data residual (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    Ch. 12), formed through the feature map and never through the gram:
+    ``F += L*(K⁻¹ (f - L F))`` on the ``cholesky`` route and
+    ``z += G⁻¹ B (y - Bᴴ z)``, ``y = √w f``, on the ``wide`` one.  The
+    factor is the rank certificate's, of ``K - c I`` (or ``G - c I``), and
+    the steps continue until the correction reaches rounding level; when
+    they do not within a few steps, the unshifted factor replaces it
+    (``_refined_solve``).  An unshifted factor takes one step, which
+    makes up the accuracy that ``cond(G) = cond(B)²`` costs the normal
+    equations.  The range residual ``||forward(F) - f|| / ||f||`` measures
+    how far ``f`` sits from the transform range; above ``range_tol`` a
     ``RangeViolationError`` carries it.
 
     Raises ``NotInjectiveError`` when the transform fails the rank check.
@@ -311,15 +423,21 @@ def invert(
     if not inj.injective:
         raise NotInjectiveError(inj.numerical_rank, op.grid_T.size)
     spec = spectral_data(op, cutoff_rel)
+    sw = np.sqrt(op.grid_E.weights)
+    eig = op.weighted_eigh
     if spec.F is not None:
-        # spec.F is Bᴴ: z = G⁻¹ B y with y = √w f, then one refinement step on y - Bᴴ z
-        Bh, y = spec.F, np.sqrt(op.grid_E.weights) * f.values
-        z = _cholesky_solve(spec.L, Bh.conj().T @ y)
-        z += _cholesky_solve(spec.L, Bh.conj().T @ (y - Bh @ z))
-        recovered = DiscreteFunction(values=z / np.sqrt(op.grid_T.weights), grid=op.grid_T)
+        # spec.F is Bᴴ, and the data y = √w f
+        Bh = spec.F
+        B = Bh.conj().T
+        z = _refined_solve(eig, sw * f.values, lambda z: Bh @ z, lambda r: eig.solve(B @ r))
+        values = z / np.sqrt(op.grid_T.weights)
+    elif spec.L is not None:
+        values = _refined_solve(eig, f.values, partial(_forward_values, op),
+                                lambda r: _adjoint_values(op, eig.solve(sw * r) / sw))
     else:
         solved = solve_kernel_system(op, f, cutoff_rel, range_tol=None)
-        recovered = apply_adjoint(op, solved.solution)
+        values = _adjoint_values(op, solved.solution.values)
+    recovered = DiscreteFunction(values=values, grid=op.grid_T)
     f_norm = norm_l2(f)
     if f_norm == 0.0:
         residual = 0.0

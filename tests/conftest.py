@@ -79,9 +79,13 @@ def random_range_function(kernel, rng, complex_mode=False):
 
 
 #: the rank certificate's test cases: where the smallest eigenvalue sits,
-#: from the cutoff ``cutoff_rel * lambda_max`` and the certificate's shift c
+#: from the cutoff ``cutoff_rel * lambda_max`` and the certificate's shift c.
+#: At 3 c refinement with the shifted factor contracts by 1/2 a step, too
+#: slowly; at 1.5 c it diverges.
 CERTIFICATE_CASES = {
     "above-shift": lambda cutoff, shift: 10.0 * shift,
+    "slow-refinement": lambda cutoff, shift: 3.0 * shift,
+    "diverging-refinement": lambda cutoff, shift: 1.5 * shift,
     "between": lambda cutoff, shift: math.sqrt(cutoff * shift),
     "below-cutoff": lambda cutoff, shift: cutoff / 10.0,
 }

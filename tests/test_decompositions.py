@@ -4,9 +4,9 @@ Every command decomposes the weighted kernel form at most once (cached on the
 kernel) and never runs an SVD: a feature source reads its injectivity rank
 from the same decomposition as its solves.  That is one ``eigh``, or, for a
 positive definite form from n = 512 or a wide map's positive definite
-|T| x |T| gram from |T| = 512, one ``cholesky`` and the spectrum: one
-``eigvalsh`` where it is read (``verify``), and where only the rank is read
-(``invert``) the blocks of one shifted Cholesky that certify it.
+|T| x |T| gram from |T| = 512, one ``cholesky``: unshifted with one
+``eigvalsh`` where the spectrum is read (``verify``), and where only the
+rank is read (``invert``) shifted, certifying the rank and solving.
 ``verify`` makes one batched solve for the reproducing and point-evaluation
 trials and, on a feature source, one for the transform trials; the norms of
 the kernel sections come in closed form from the cached decomposition,
@@ -108,12 +108,6 @@ def cholesky_shapes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", recorded)
     return shapes
-
-
-def certificate_blocks(r):
-    """The diagonal blocks the rank certificate factors for an r x r form."""
-    block = kernel_module.CHOLESKY_BLOCK
-    return [(min(block, r - j),) * 2 for j in range(0, r, block)]
 
 
 @pytest.fixture
@@ -363,8 +357,8 @@ def test_full_rank_verify_factors_without_eigenvectors(decompositions, factoriza
                          ids=["cholesky", "below-floor"])
 def test_square_invert_factors_without_eigenvectors(tmp_path, decompositions, factorizations,
                                                     cholesky_shapes, n, eigh, factored):
-    # one full-size Cholesky for the solves; the rank is certified by a
-    # shifted one, factored in blocks, and no eigvalsh runs
+    # one full-size Cholesky, shifted, certifies the rank and is the solve
+    # factor; no eigvalsh runs
     config = parse_config(indicator_doc(n_T=n, n_E=n))
     data = write_invert_data(tmp_path, config)
     code, report = cli.run_invert(config, data, tmp_path / "rec.csv")
@@ -373,18 +367,17 @@ def test_square_invert_factors_without_eigenvectors(tmp_path, decompositions, fa
     assert report["diagnostics"]["rank_certified"] is bool(factored)
     assert report["injectivity"]["injective"] is True
     assert decompositions == {"svd": 0, "eigh": eigh}
-    blocks = certificate_blocks(n)
-    assert factorizations == {"cholesky": factored * (1 + len(blocks)), "eigvalsh": 0}
-    assert cholesky_shapes == ([(n, n)] + blocks) * factored
+    assert factorizations == {"cholesky": factored, "eigvalsh": 0}
+    assert cholesky_shapes == [(n, n)] * factored
 
 
 @pytest.mark.parametrize("n_T, n_E, eigh, factored", [(600, 1200, 0, 1), (60, 120, 1, 0)],
                          ids=["cholesky", "below-floor"])
 def test_wide_invert_factors_its_t_side(tmp_path, decompositions, factorizations, thin_qrs,
                                         cholesky_shapes, gram_builds, n_T, n_E, eigh, factored):
-    # from |T| = 512 one Cholesky of G = B Bᴴ, and a shifted one in blocks
-    # that certifies its rank, replace the thin QR and the eigh; no eigvalsh
-    # runs, and the inversion is solved on the T side
+    # from |T| = 512 one shifted Cholesky of G = B Bᴴ, which certifies its
+    # rank and is the solve factor, replaces the thin QR and the eigh; no
+    # eigvalsh runs, and the inversion is solved on the T side
     config = parse_config(indicator_doc(n_T=n_T, n_E=n_E))
     data = write_invert_data(tmp_path, config)
     for counts in (decompositions, factorizations, thin_qrs):
@@ -397,9 +390,8 @@ def test_wide_invert_factors_its_t_side(tmp_path, decompositions, factorizations
     assert report["injectivity"] == {"injective": True, "numerical_rank": n_T, "deficiency": 0}
     assert decompositions == {"svd": 0, "eigh": eigh}
     assert thin_qrs == {"qr": eigh}
-    blocks = certificate_blocks(n_T)
-    assert factorizations == {"cholesky": factored * (1 + len(blocks)), "eigvalsh": 0}
-    assert cholesky_shapes == ([(n_T, n_T)] + blocks) * factored
+    assert factorizations == {"cholesky": factored, "eigvalsh": 0}
+    assert cholesky_shapes == [(n_T, n_T)] * factored
     assert gram_builds == []
 
 

@@ -466,6 +466,77 @@ class TestRankCertificate:
         assert cutoff < lam[-1] < shift
 
 
+class TestCertifiedFactorSolves:
+    """Solves on a kernel whose rank was certified first match those on a fresh kernel.
+
+    ``K`` has its rank certified before any solve, so it holds the factor of
+    ``S - c I``, and its first solve replaces it by the factor of ``S``;
+    ``reference`` reads its spectrum first, as ``verify`` does, and solves
+    with the factor of ``S`` from the start.
+    """
+
+    @pytest.fixture
+    def kernels(self):
+        grid = rl.make_uniform_grid(0, 1, 600, "midpoint")
+        K, reference = (rl.assemble_kernel(rl.builtin_kernel("brownian"), grid) for _ in range(2))
+        reference.weighted_eigh.eigenvalues
+        assert rl.spectral_data(K).numerical_rank == 600
+        eig = K.weighted_eigh
+        assert eig.rank_certified(rl.kernel.DEFAULT_CUTOFF_REL)
+        assert eig.shift > 0.0 and reference.weighted_eigh.shift == 0.0
+        # the certificate releases the form; the unshifted factor forms it anew
+        assert eig._form is None
+        return K, reference
+
+    def test_solve_kernel_system_matches(self, kernels):
+        K, reference = kernels
+        rng = np.random.default_rng(8)
+        w = K.grid.weights
+        for _ in range(3):
+            f = random_range_function(K, rng)
+            got, expected = (rl.solve_kernel_system(k, f) for k in kernels)
+            assert got.range_residual == expected.range_residual == 0.0
+            # the image K x and the space norm [f, f] = (x, f): x itself is
+            # as ill-conditioned as S on either factor
+            images = [rl.apply_operator(K, s.solution).values for s in (got, expected)]
+            gap = np.linalg.norm(images[0] - images[1]) / np.linalg.norm(images[1])
+            assert gap <= 1e-12
+            norms = [np.sum(w * s.solution.values * f.values) for s in (got, expected)]
+            assert norms[0] == pytest.approx(norms[1], rel=1e-12)
+        # the solves dropped the shift; the rank stays certified
+        assert K.weighted_eigh.shift == 0.0
+        assert K.weighted_eigh.rank_certified(rl.kernel.DEFAULT_CUTOFF_REL)
+
+    def test_verify_reproducing_matches(self, kernels):
+        K, reference = kernels
+        got, expected = (rl.verify_reproducing(k, rl.kernel.DEFAULT_CUTOFF_REL, 20, 3, 1e-6)
+                         for k in kernels)
+        for name in ("max_residual", "max_excess", "section_equality_defect"):
+            assert abs(getattr(got, name) - getattr(expected, name)) <= 1e-12
+        assert K.weighted_eigh.shift == 0.0
+
+    def test_kept_diagonal_matches(self, kernels):
+        K, reference = kernels
+        # the squared row norms of the factor of S, not of S - c I
+        diag, diag_ref = (rl.kernel._kept_diagonal(k) for k in kernels)
+        assert K.weighted_eigh.shift == 0.0
+        assert np.max(np.abs(diag - diag_ref)) <= 1e-12 * np.max(diag_ref)
+
+
+@pytest.mark.parametrize("n", [1, 255, 257, 600])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_hermitian_part_is_bit_for_bit_the_whole_expression(n, dtype):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    if dtype is complex:
+        A = A + 1j * rng.standard_normal((n, n))
+    B = 0.5 * A
+    expected = B + B.conj().T
+    got = rl.kernel._hermitian_part(A.copy())
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got, got.conj().T)
+
+
 class TestComparison:
     """Kernels and their spectra compare by identity and hash, without touching their arrays."""
 

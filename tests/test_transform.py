@@ -591,7 +591,10 @@ def test_wide_map_with_equal_rows_keeps_the_qr_rank(monkeypatch):
 
 
 def wide_op_with_spectrum(lam, n_E=1200):
-    """A wide map (|T| = ``lam.size``) whose T-side gram ``G = B Bᴴ`` has the eigenvalues ``lam``."""
+    """A map (|T| = ``lam.size`` <= ``n_E``) whose T-side gram ``G = B Bᴴ`` has the eigenvalues ``lam``.
+
+    It is wide for ``n_E`` > |T|; at ``n_E`` = |T| it is square, and ``S = Bᴴ B`` has them too.
+    """
     r = lam.size
     grid_T = rl.make_uniform_grid(0, 1, r, "midpoint")
     grid_E = rl.make_uniform_grid(0, 1, n_E, "midpoint")
@@ -633,6 +636,70 @@ class TestWideRankCertificate:
         # with the 600 structural zeros sorted in
         np.testing.assert_array_equal(op.weighted_eigh.eigenvalues, expected)
         assert np.count_nonzero(expected == 0.0) == 600
+
+
+class TestShiftedFactorFallback:
+    """Where refinement with the certificate's factor cannot converge, the unshifted factor takes over.
+
+    The smallest eigenvalue of the form sits at 3 c or 1.5 c, above the
+    certificate's shift c, so the rank is certified; refinement then
+    contracts by c / (lambda_min - c) = 1/2 a step, or diverges.  A map
+    with |E| = |T| takes the ``cholesky`` route, one with |E| = 2 |T| the
+    ``wide`` one.  ``reference`` reads its spectrum first and solves with
+    the unshifted factor from the start.
+    """
+
+    CUTOFF = 1e-10
+
+    @pytest.mark.parametrize("case", ["slow-refinement", "diverging-refinement"])
+    @pytest.mark.parametrize("n_E, route", [(600, "cholesky"), (1200, "wide")],
+                             ids=["cholesky", "wide"])
+    def test_falls_back_and_recovers(self, monkeypatch, case, n_E, route):
+        lam = certificate_spectrum(600, case, self.CUTOFF)
+        op = wide_op_with_spectrum(lam, n_E)
+        reference = rl.build_transform(op.feature)
+        reference.weighted_eigh.eigenvalues
+        source = np.random.default_rng(9).standard_normal(600)
+        f = rl.apply_forward(op, rl.DiscreteFunction(source, op.grid_T))
+        expected = rl.invert(reference, f, self.CUTOFF)
+        full_size = []
+        original = np.linalg.cholesky
+
+        def counted(a, *args, **kwargs):
+            if np.shape(a) == (600, 600):
+                full_size.append(1)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        result = rl.invert(op, f, self.CUTOFF)
+        eig = op.weighted_eigh
+        assert eig.decomposition == route
+        # certified, then the shifted factor replaced by the unshifted one
+        assert eig.rank_certified(self.CUTOFF) and eig.shift == 0.0
+        assert len(full_size) == 2
+
+        def error(got):
+            return np.linalg.norm(got.recovered.values - source) / np.linalg.norm(source)
+
+        assert error(result) <= 1.01 * error(expected) + 1e-15
+        assert result.range_residual <= 1e-12
+
+
+def test_square_indicator_invert_refines_to_rounding_level():
+    # the certificate's factor, refined on the data residual, recovers the
+    # source to a few ulps; the unshifted solve without refinement erred by
+    # about 4e-14 here
+    grid = rl.make_uniform_grid(0, 1, 600, "midpoint")
+    op = rl.build_transform(rl.make_feature_map(rl.FeatureFamily("indicator"), grid, grid))
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        source = rng.standard_normal(600)
+        result = rl.invert(op, rl.apply_forward(op, rl.DiscreteFunction(source, grid)))
+        error = np.linalg.norm(result.recovered.values - source) / np.linalg.norm(source)
+        assert error <= 1e-14
+    eig = op.weighted_eigh
+    assert eig.decomposition == "cholesky"
+    assert eig.rank_certified(rl.kernel.DEFAULT_CUTOFF_REL) and eig.shift > 0.0
 
 
 @pytest.mark.parametrize("n_T, n_E, route", [(600, 600, "cholesky"), (600, 1200, "wide")],

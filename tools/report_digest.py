@@ -7,16 +7,20 @@ this script sits in, and the op lists come from ``bench/workloads.py`` at
 full sizes and seed 101.  Every op runs once through ``rkhslab.cli.main`` in
 a temporary directory.  One line is printed per report leaf outside
 ``timings``, with the temporary directory stripped from the paths the report
-echoes, plus one for the recovered CSV when the op wrote one:
+echoes, plus one for the recovered CSV when the op wrote one and, for an
+in-range ``invert``, one for the digits to which it recovered its source
+(``workloads.check``, three decimals):
 
     <workload> <op> <json.path> <value>
     <workload> <op> recovered_csv <sha256>
+    <workload> <op> recovery_digits <digits>
 
 A list entry that carries a ``name`` is addressed by it
 (``criteria[point_eval_equality].value``), any other by its index.  A
 ``diff`` of the output of two checkouts names each report field or recovered
-function a change moved; a ``diff`` of two runs of one checkout checks that
-the output is reproducible across processes.
+function a change moved, and how far each recovered function moved; a
+``diff`` of two runs of one checkout checks that the output is reproducible
+across processes.
 """
 import hashlib
 import json
@@ -66,8 +70,13 @@ def main() -> int:
             workdir = Path(tmp) / workload
             ops = workloads.build(workload, SEED)
             for op, paths in zip(ops, workloads.write_inputs(ops, workdir)):
-                cli.main(op.argv(paths))
-                for line in fields(Path(paths["report"]), Path(paths["recovered"]), workdir):
+                code = cli.main(op.argv(paths))
+                report, recovered = Path(paths["report"]), Path(paths["recovered"])
+                lines = fields(report, recovered, workdir)
+                if op.command == "invert" and op.source is not None:
+                    _, digits = workloads.check(op, code, json.loads(report.read_text()), recovered)
+                    lines += [f"recovery_digits {value:.3f}" for value in digits]
+                for line in lines:
                     print(workload, op.name, line, flush=True)
     return 0
 
