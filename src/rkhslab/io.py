@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .grid import DiscreteFunction, Grid
-from .kernel import KernelMatrix, kernel_from_gram
+from .kernel import KernelMatrix, _hermitian_gram
 from .transform import FeatureMap
 
 FUNCTION_HEADER = ("point", "value_re", "value_im")
@@ -92,7 +92,8 @@ def load_kernel_csv(path, grid: Grid, mode: str = "complex") -> KernelMatrix:
         raise GridMismatchError(
             f"{path} holds a {gram.shape} matrix, grid needs {grid.size}x{grid.size}"
         )
-    return kernel_from_gram(gram, grid)
+    # the parsed array is the reader's own: an exactly Hermitian one is kept, not copied
+    return KernelMatrix(grid, *_hermitian_gram(gram, grid, owned=True))
 
 
 def save_kernel_csv(K: KernelMatrix, path, mode: str = "complex") -> None:

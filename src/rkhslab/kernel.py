@@ -42,13 +42,13 @@ in their place, and its remaining eigenvalues are zeros.
 
 On the two Cholesky routes nothing is factored when the route is chosen:
 the form ``A`` (``S``, or ``G``) is held, and its first read decides which
-factor is computed (``WeightedEigh``).
+factor is computed (``WeightedEigh``).  Every factor is written over the
+form it factors, by a blocked Cholesky (``_cholesky_in_place``), so the
+factor takes the form's buffer and no n x n array of its own.
 
-* A read of the spectrum, the factor or the route name factors ``A``
-  itself, by LAPACK's Cholesky; ``eigvalsh(A)`` gives the eigenvalues when
-  they are read.  When ``A`` is not numerically positive definite the route
-  turns into ``dense``, or the thin QR of ``wide``, there and then.
-  ``verify`` reads the spectrum first: one Cholesky and one ``eigvalsh``.
+* A read of the spectrum runs ``eigvalsh(A)`` first, then factors ``A``.
+  A read of the factor or the route name factors ``A`` alone.  ``verify``
+  reads the spectrum first: one ``eigvalsh`` and one Cholesky.
 * A rank query while the eigenvalues are unread (``spectral_data``, which
   ``invert`` reaches first) factors ``A - c I`` instead, with
   ``c = cutoff_rel ||A||_F + 2 (r + 1) eps tr(A)`` for r x r ``A``.  That
@@ -58,12 +58,21 @@ factor is computed (``WeightedEigh``).
   Numerical Algorithms*, Thm 10.3), its success puts every eigenvalue
   above ``cutoff_rel * lambda_max``, so the rank is r.  And it is the solve
   factor of ``invert``, which refines its solve on the data residual
-  (``transform.invert``).  ``A`` is then released.  Every other solve
-  (``_solve_columns``, ``_kept_diagonal``) first replaces the shifted factor
-  by one of ``A`` itself, formed anew (``WeightedEigh.drop_shift``).  When
-  the certificate fails, ``A`` itself is factored and ``eigvalsh`` decides,
-  so a rank below r is never decided by the certificate.  ``invert`` runs
-  one Cholesky, shifted, and no ``eigvalsh``.
+  (``transform.invert``).  Every other solve (``_solve_columns``,
+  ``_kept_diagonal``) first replaces the shifted factor by one of ``A``
+  itself, formed anew (``WeightedEigh.drop_shift``).  ``invert`` runs one
+  Cholesky, shifted, and no ``eigvalsh``.
+* A failed factorization leaves its form spoiled; the form is released and
+  formed anew where it is read next.  When the certificate fails, ``A`` is
+  formed anew, and ``eigvalsh`` and the unshifted factor decide, so a rank
+  below r is never decided by the certificate.  When ``A`` itself is not
+  numerically positive definite, the route turns into ``dense``, on ``A``
+  formed anew, or into the thin QR of ``wide``, there and then, and that
+  route's eigenvalues are reported.
+
+So ``verify`` and ``invert`` on the ``cholesky`` route hold at most three
+n x n arrays at once: ``gram``, the form or its factor, and the copy of the
+form that numpy's ``eigvalsh`` makes.
 """
 from __future__ import annotations
 
@@ -106,25 +115,28 @@ class WeightedEigh:
     eigenvectors' place: on the ``cholesky`` route of ``S``, on the ``wide``
     route of ``G = Fᴴ F`` for the exact n x r factor ``S = F Fᴴ`` held in
     ``F``.  The form ``A`` (``S`` or ``G``) is held unfactored, and the first
-    read decides how it is factored (module docstring):
+    read decides how it is factored (module docstring).  Every factor is
+    written over ``A`` (``_cholesky_in_place``), so ``L`` is ``A``'s buffer:
 
     * ``keeps_all`` with the eigenvalues unread factors ``A - c I``, with
       the certificate's shift ``c``; its factor is kept, ``shift`` is ``c``
-      and ``solve`` solves with ``A - c I``;
-    * any other read (``eigenvalues``, ``eigenvectors``, ``L``,
-      ``decomposition``) factors ``A`` itself, and when ``A`` is not
-      numerically positive definite the route turns into the eigenvector
-      one, ``dense`` or the thin QR of ``wide``.  Reading the route name
-      is such a read: before a rank query it costs ``invert`` a second
-      factorization.
+      and ``solve`` solves with ``A - c I``.  When it fails, ``A`` is spoiled
+      and released;
+    * ``eigenvalues`` runs ``eigvalsh(A)`` first, then factors ``A``;
+    * any other read (``eigenvectors``, ``L``, ``decomposition``) factors
+      ``A`` itself.  Reading the route name is such a read: before a rank
+      query it costs ``invert`` a second factorization.
 
-    ``drop_shift`` replaces a shifted factor by the unshifted one.
-    ``eigenvalues`` are ``eigvalsh(A)``'s, run at their first read.  That
-    read, a certificate that succeeds and ``drop_shift`` release ``A``; a
-    later read forms it again with ``reform``, the expression
-    ``KernelMatrix.weighted_eigh`` used.  ``reform`` binds arrays only: a
-    reference to the kernel would make a cycle with the decomposition the
-    kernel caches.
+    When ``A`` is not numerically positive definite the failed factor has
+    spoiled it, and the route turns into the eigenvector one: ``dense``, on
+    ``A`` formed anew, or the thin QR of ``wide``.  The eigenvalues are then
+    that route's, and an ``eigvalsh`` run before is discarded.
+
+    ``drop_shift`` replaces a shifted factor by the unshifted one.  Whenever
+    ``A`` is needed after it was factored or released, it is formed again
+    with ``reform``, the expression ``KernelMatrix.weighted_eigh`` used.
+    ``reform`` binds arrays only: a reference to the kernel would make a
+    cycle with the decomposition the kernel caches.
     """
 
     def __init__(
@@ -149,26 +161,28 @@ class WeightedEigh:
         self._certified: set[float] = set()
 
     def _held_form(self) -> np.ndarray:
-        """The form factored, held, or formed anew once it was released."""
+        """The form held, or formed anew once it was factored or released."""
         if self._form is None:
             self._form = self._reform()
         return self._form
 
+    def _factor_form(self) -> bool:
+        """Whether factoring ``A`` over itself succeeded; its buffer is then ``L``."""
+        A, self._form = self._held_form(), None
+        if not _cholesky_in_place(A):
+            return False
+        self._L = A
+        return True
+
     def _resolve(self) -> None:
         """On a Cholesky route not yet factored, factor ``A``, or fall back to eigenvectors."""
-        if self._reform is None or self._L is not None:
+        if self._reform is None or self._L is not None or self._factor_form():
             return
-        A = self._held_form()
-        try:
-            self._L = np.linalg.cholesky(A)
-            return
-        except np.linalg.LinAlgError:
-            pass
         # not numerically positive definite: eigenvectors decide, as on the routes below the floor
-        fallback = _dense_eigh(A) if self.F is None else _factor_eigh(self.F, "wide")
+        fallback = _dense_eigh(self._reform()) if self.F is None else _factor_eigh(self.F, "wide")
         self._eigenvalues, self._eigenvectors = fallback._eigenvalues, fallback._eigenvectors
         self._decomposition = fallback._decomposition
-        self.F = self._form = self._reform = None
+        self.F = self._reform = None
 
     @property
     def decomposition(self) -> str:
@@ -187,12 +201,18 @@ class WeightedEigh:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """The eigenvalues of ``S``, descending; ``eigvalsh``'s on a Cholesky route, run once."""
-        self._resolve()
+        """The eigenvalues of ``S``, descending; on a Cholesky route ``eigvalsh``'s, run once.
+
+        ``eigvalsh`` reads ``A`` before the factor is written over it.
+        """
         if self._eigenvalues is None:
             lam = np.linalg.eigvalsh(self._held_form())[::-1]
+            # factors A over itself, unless the certificate's factor is held already
+            self._resolve()
             self._form = None
-            self._eigenvalues = lam if self.F is None else _with_zeros(lam, self.F.shape[0])
+            # a failed factor turned the route into an eigenvector one, which set the eigenvalues
+            if self._eigenvalues is None:
+                self._eigenvalues = lam if self.F is None else _with_zeros(lam, self.F.shape[0])
         return self._eigenvalues
 
     def keeps_all(self, cutoff_rel: float) -> bool:
@@ -208,13 +228,15 @@ class WeightedEigh:
         if cutoff_rel in self._certified:
             return True
         if self._eigenvalues is None:
-            certificate = _certifies_full_rank(self._held_form(), cutoff_rel)
-            if certificate is not None:
+            A, self._form = self._held_form(), None
+            shift = _certifies_full_rank(A, cutoff_rel)
+            if shift is not None:
                 self._certified.add(cutoff_rel)
                 if self._L is None:
-                    self._L, self.shift = certificate
-                self._form = None
+                    self._L, self.shift = A, shift
                 return True
+            # spoiled: released before the eigenvalues form A anew
+            del A
         lam = self.eigenvalues
         # reading them factored A, or turned the route into an eigenvector one
         return self._reform is not None and _rank(lam, cutoff_rel) == self._L.shape[0]
@@ -228,8 +250,14 @@ class WeightedEigh:
         return _cholesky_solve(self.L, b)
 
     def drop_shift(self) -> None:
-        """Replace the certificate's shifted factor by a factor of ``A`` itself, then release ``A``."""
-        self._L, self.shift, self._form = np.linalg.cholesky(self._held_form()), 0.0, None
+        """Replace the certificate's shifted factor by a factor of ``A`` itself, formed anew.
+
+        The shifted factor is released first.  ``A`` is positive definite by
+        more than the shift, so its factor cannot fail but by a defect.
+        """
+        self._L, self.shift = None, 0.0
+        if not self._factor_form():
+            raise np.linalg.LinAlgError("a certified form is not numerically positive definite")
 
 
 def _finite_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -242,8 +270,19 @@ def _finite_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return product
 
 
-#: side of the tiles ``_hermitian_part`` pairs up
+#: side of the tiles ``_hermitian_part`` and ``_is_hermitian`` pair up
 HERMITIAN_TILE = 128
+
+
+def _tile_pairs(n_dim: int):
+    """``(rows, cols)`` slices of the tiles on and above the diagonal of an n x n array.
+
+    Each tile ``A[rows, cols]`` pairs with ``A[cols, rows]`` below the diagonal.
+    """
+    for i0 in range(0, n_dim, HERMITIAN_TILE):
+        rows = slice(i0, min(i0 + HERMITIAN_TILE, n_dim))
+        for j0 in range(i0, n_dim, HERMITIAN_TILE):
+            yield rows, slice(j0, min(j0 + HERMITIAN_TILE, n_dim))
 
 
 def _hermitian_part(A: np.ndarray) -> np.ndarray:
@@ -254,23 +293,28 @@ def _hermitian_part(A: np.ndarray) -> np.ndarray:
     """
     # halving first cannot overflow
     A *= 0.5
-    n_dim = A.shape[0]
-    for i0 in range(0, n_dim, HERMITIAN_TILE):
-        i1 = min(i0 + HERMITIAN_TILE, n_dim)
-        for j0 in range(i0, n_dim, HERMITIAN_TILE):
-            j1 = min(j0 + HERMITIAN_TILE, n_dim)
-            upper, lower = A[i0:i1, j0:j1], A[j0:j1, i0:i1]
-            # both sums are read from the halves before either tile is written
-            new_upper = upper + lower.conj().T
-            lower += upper.conj().T
-            upper[...] = new_upper
+    for rows, cols in _tile_pairs(A.shape[0]):
+        upper, lower = A[rows, cols], A[cols, rows]
+        # both sums are read from the halves before either tile is written
+        new_upper = upper + lower.conj().T
+        lower += upper.conj().T
+        upper[...] = new_upper
     return A
+
+
+def _is_hermitian(A: np.ndarray) -> bool:
+    """Whether the square ``A`` equals ``Aᴴ`` exactly; stops at the first tile pair that differs."""
+    return all(np.array_equal(A[rows, cols], A[cols, rows].conj().T)
+               for rows, cols in _tile_pairs(A.shape[0]))
 
 
 def _weighted_form(gram: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``S = sqrt(W) gram sqrt(W)``, exactly Hermitian, as a new array."""
     sw = np.sqrt(weights)
-    return _hermitian_part(sw[:, None] * gram * sw[None, :])
+    # bit for bit ``sw[:, None] * gram * sw[None, :]``, with one temporary fewer
+    S = sw[:, None] * gram
+    S *= sw[None, :]
+    return _hermitian_part(S)
 
 
 def _factor_gram(F: np.ndarray) -> np.ndarray:
@@ -317,24 +361,50 @@ def _certificate_shift(A: np.ndarray, cutoff_rel: float) -> float:
     return cutoff_rel * float(np.linalg.norm(A)) + 2 * (r_dim + 1) * np.finfo(float).eps * trace
 
 
-def _certifies_full_rank(A: np.ndarray, cutoff_rel: float) -> tuple[np.ndarray, float] | None:
-    """The Cholesky factor of ``A - c I`` and ``c`` (``_certificate_shift``), or None when it fails.
+def _certifies_full_rank(A: np.ndarray, cutoff_rel: float) -> float | None:
+    """Factor ``A - c I`` over ``A`` and return ``c`` (``_certificate_shift``); None when it fails.
 
     Success puts every eigenvalue of ``A`` above ``cutoff_rel * lambda_max``
-    even after the factorization's backward error (module docstring).  The
-    diagonal of ``A`` is shifted in place and restored bit for bit.
+    even after the factorization's backward error (module docstring), and
+    leaves the factor in ``A``.  A failure leaves ``A`` spoiled.
     """
     shift = _certificate_shift(A, cutoff_rel)
     if not math.isfinite(shift):
         return None
-    diagonal = A.diagonal().copy()
     A.flat[:: A.shape[0] + 1] -= shift
-    try:
-        return np.linalg.cholesky(A), shift
-    except np.linalg.LinAlgError:
-        return None
-    finally:
-        A.flat[:: A.shape[0] + 1] = diagonal
+    return shift if _cholesky_in_place(A) else None
+
+
+#: columns per block of ``_cholesky_in_place``: of 64 to 256, 128 was the fastest at n = 600 to
+#: 2400 (2 cores, OpenBLAS)
+CHOLESKY_BLOCK = 128
+
+
+def _cholesky_in_place(A: np.ndarray) -> bool:
+    """Whether the Hermitian ``A`` is numerically positive definite; writes its factor ``L`` over ``A``.
+
+    A left-looking blocked Cholesky (Golub & Van Loan, *Matrix Computations*,
+    §4.2).  Each block column is updated by one matrix product with the
+    columns already factored, its diagonal block factored by
+    ``np.linalg.cholesky`` and the panel below it solved against that
+    factor; the block row right of the diagonal block is zeroed, so ``A``
+    ends as the whole of ``L``.  Only the lower triangle of ``A`` and its
+    diagonal blocks are read, and the largest temporary is one block column.
+    A failure leaves ``A`` spoiled.
+    """
+    n_dim = A.shape[0]
+    for j0 in range(0, n_dim, CHOLESKY_BLOCK):
+        j1 = min(j0 + CHOLESKY_BLOCK, n_dim)
+        if j0:
+            A[j0:, j0:j1] -= A[j0:, :j0] @ A[j0:j1, :j0].conj().T
+        try:
+            A[j0:j1, j0:j1] = np.linalg.cholesky(A[j0:j1, j0:j1])
+        except np.linalg.LinAlgError:
+            return False
+        # the panel P below solves P Lᴴ = A[j1:, j0:j1], as L Pᴴ = A[j1:, j0:j1]ᴴ
+        A[j1:, j0:j1] = np.linalg.solve(A[j0:j1, j0:j1], A[j1:, j0:j1].conj().T).conj().T
+        A[j0:j1, j1:] = 0
+    return True
 
 
 def _pivoted_cholesky(S: np.ndarray, max_rank: int) -> np.ndarray | None:
@@ -537,19 +607,20 @@ class SolveResult:
 def _hermitian_gram(gram: np.ndarray, grid: Grid, owned: bool = False) -> tuple[np.ndarray, float]:
     """Validate a raw gram; return its Hermitian part and its defect.
 
-    The Hermitian part is a new array unless ``owned`` says the caller has
-    just formed ``gram`` itself and an exactly Hermitian one may be kept.
+    The Hermitian part is a new array unless ``owned`` says no one else
+    holds ``gram`` (the caller formed or parsed it) and an exactly Hermitian
+    one may be kept.
     """
     gram = as_samples(gram)
     if gram.shape != (grid.size, grid.size):
         raise ValueError(f"gram must be {grid.size}x{grid.size}, got {gram.shape}")
     if not np.all(np.isfinite(gram)):
         raise ValueError("kernel produced non-finite values")
-    adjoint = gram.conj().T
-    if np.array_equal(gram, adjoint):
+    if _is_hermitian(gram):
         defect = 0.0
         sym = gram if owned else gram.copy()
     else:
+        adjoint = gram.conj().T
         # a difference that overflows exceeds any admissible defect
         with np.errstate(over="ignore"):
             defect = float(np.max(np.abs(gram - adjoint)))
@@ -600,6 +671,25 @@ BUILTIN_KERNEL_PARAMS = {
 BUILTIN_KERNEL_NAMES = tuple(BUILTIN_KERNEL_PARAMS)
 
 
+def _sinc(band: float, p, q):
+    """``(band / pi) * np.sinc(band (p - q) / pi)``, bit for bit, evaluated in place.
+
+    ``np.sinc(x)`` is ``sin(y) / y`` with ``y = pi x`` and a tiny ``y`` where
+    ``x = 0``, which gives 1 there; its whole-array steps would hold four
+    n x n arrays at once, and these hold two.
+    """
+    # a scalar call gets a 0-d array, which the in-place steps can write
+    y = np.asarray(p - q, dtype=float)
+    y *= band
+    y /= math.pi
+    y[y == 0] = 1e-20
+    y *= math.pi
+    out = np.sin(y)
+    out /= y
+    out *= band / math.pi
+    return out
+
+
 def builtin_kernel(name: str, **params) -> Callable:
     """Named kernel functions used by tests and the CLI config.
 
@@ -618,7 +708,7 @@ def builtin_kernel(name: str, **params) -> Callable:
         band = float(params.get("band", math.pi))
         if band <= 0:
             raise ValueError("sinc kernel needs band > 0")
-        return lambda p, q: (band / math.pi) * np.sinc(band * (p - q) / math.pi)
+        return partial(_sinc, band)
     if name == "constant":
         value = float(params.get("value", 1.0))
         return lambda p, q: np.full(np.broadcast_shapes(np.shape(p), np.shape(q)), value)

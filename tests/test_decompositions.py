@@ -4,7 +4,7 @@ Every command decomposes the weighted kernel form at most once (cached on the
 kernel) and never runs an SVD: a feature source reads its injectivity rank
 from the same decomposition as its solves.  That is one ``eigh``, or, for a
 positive definite form from n = 512 or a wide map's positive definite
-|T| x |T| gram from |T| = 512, one ``cholesky``: unshifted with one
+|T| x |T| gram from |T| = 512, one Cholesky: unshifted with one
 ``eigvalsh`` where the spectrum is read (``verify``), and where only the
 rank is read (``invert``) shifted, certifying the rank and solving.
 ``verify`` makes one batched solve for the reproducing and point-evaluation
@@ -92,21 +92,35 @@ def decompositions(monkeypatch):
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Counts calls of ``np.linalg.cholesky`` and ``np.linalg.eigvalsh``."""
-    return counted_calls(monkeypatch, ("cholesky", "eigvalsh"))
+    """Counts full-size Cholesky factorizations and calls of ``np.linalg.eigvalsh``.
+
+    A full-size factorization is a call of ``kernel._cholesky_in_place``.
+    Its diagonal blocks go through ``np.linalg.cholesky``, whose calls
+    therefore count blocks, not factorizations.
+    """
+    counts = counted_calls(monkeypatch, ("eigvalsh",))
+    counts["cholesky"] = 0
+    original = kernel_module._cholesky_in_place
+
+    def counted(A):
+        counts["cholesky"] += 1
+        return original(A)
+
+    monkeypatch.setattr(kernel_module, "_cholesky_in_place", counted)
+    return counts
 
 
 @pytest.fixture
 def cholesky_shapes(monkeypatch):
-    """Records the operand shape of every ``np.linalg.cholesky`` call."""
+    """Records the operand shape of every full-size Cholesky factorization (``factorizations``)."""
     shapes = []
-    original = np.linalg.cholesky
+    original = kernel_module._cholesky_in_place
 
-    def recorded(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return original(a, *args, **kwargs)
+    def recorded(A):
+        shapes.append(np.shape(A))
+        return original(A)
 
-    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    monkeypatch.setattr(kernel_module, "_cholesky_in_place", recorded)
     return shapes
 
 

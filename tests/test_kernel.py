@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -246,6 +249,21 @@ class TestBuiltinKernels:
     def test_sinc_diagonal_value(self):
         k = rl.builtin_kernel("sinc", band=np.pi)
         assert k(0.3, 0.3) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("band", [20.0, np.pi])
+    def test_sinc_is_bit_for_bit_numpys(self, band):
+        # evaluated in place, with the expression of np.sinc
+        k = rl.builtin_kernel("sinc", band=band)
+
+        def expected(p, q):
+            return (band / math.pi) * np.sinc(band * (p - q) / math.pi)
+
+        p = rl.make_uniform_grid(0, 1, 301, "trapezoid").points
+        got = k(p[:, None], p[None, :])
+        assert got.shape == (301, 301)
+        assert np.array_equal(got, expected(p[:, None], p[None, :]))
+        for pair in [(0.3, 0.3), (0.3, 0.1), (0.0, 1.0), (1, 1)]:
+            assert k(*pair) == expected(*pair)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -535,6 +553,95 @@ def test_hermitian_part_is_bit_for_bit_the_whole_expression(n, dtype):
     got = rl.kernel._hermitian_part(A.copy())
     assert np.array_equal(got, expected)
     assert np.array_equal(got, got.conj().T)
+
+
+@pytest.mark.parametrize("n", [1, 127, 129, 300])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_tiled_hermitian_check_agrees_with_the_whole_comparison(n, dtype):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    if dtype is complex:
+        A = A + 1j * rng.standard_normal((n, n))
+    A = rl.kernel._hermitian_part(A)
+    assert rl.kernel._is_hermitian(A)
+    # one entry changed, in the first tile pair, the last, and one between
+    for i, j in [(0, n - 1), (n - 1, 0), (n // 2, n // 3)]:
+        B = A.copy()
+        B[i, j] += 1.0
+        assert rl.kernel._is_hermitian(B) is np.array_equal(B, B.conj().T)
+
+
+def positive_definite_form(n, dtype, seed=0):
+    """A well-conditioned Hermitian positive definite n x n form."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, n))
+    if dtype is complex:
+        X = X + 1j * rng.standard_normal((n, n))
+    return rl.kernel._hermitian_part(X @ X.conj().T / n + np.eye(n))
+
+
+class TestCholeskyInPlace:
+    """The blocked Cholesky that writes its factor over the form."""
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_agrees_with_lapack(self, n, dtype):
+        A = positive_definite_form(n, dtype)
+        expected = np.linalg.cholesky(A)
+        assert rl.kernel._cholesky_in_place(A)
+        np.testing.assert_allclose(A, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+        # whole rows are read by the solves and the kept diagonal
+        assert not np.any(np.triu(A, 1))
+
+    @pytest.mark.parametrize("negative_at", [0, 200, 599])
+    def test_fails_on_an_indefinite_form(self, negative_at):
+        A = positive_definite_form(600, float)
+        A[negative_at, negative_at] = -1.0
+        assert rl.kernel._cholesky_in_place(A) is False
+
+
+class TestFactorMemory:
+    """On the ``cholesky`` route the factor is the form's buffer: no read allocates an n x n array.
+
+    ``eigvalsh`` copies the form outside numpy's allocator, so tracemalloc
+    sees only the arrays numpy hands out; the largest of those temporaries
+    is one block column of the factor.
+    """
+
+    N = 600
+
+    @pytest.fixture
+    def eig(self):
+        grid = rl.make_uniform_grid(0, 1, self.N, "midpoint")
+        K = rl.assemble_kernel(rl.builtin_kernel("brownian"), grid)
+        # forms S; the route is read only after the measured reads
+        return K, K.weighted_eigh
+
+    @staticmethod
+    def allocated_peak(read) -> int:
+        """Peak bytes allocated above the start while ``read()`` runs."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            read()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def test_spectrum_then_factor(self, eig):
+        _, eig = eig
+
+        def read():
+            eig.eigenvalues
+            eig.L
+
+        assert self.allocated_peak(read) < self.N * self.N * 8
+        assert eig.decomposition == "cholesky" and eig.shift == 0.0
+
+    def test_certificate(self, eig):
+        K, eig = eig
+        assert self.allocated_peak(lambda: rl.spectral_data(K)) < self.N * self.N * 8
+        assert eig.decomposition == "cholesky" and eig.shift > 0.0
 
 
 class TestComparison:
