@@ -7,44 +7,46 @@ through a decomposition of the symmetrized form ``S = sqrt(W) gram sqrt(W)``,
 with a relative eigenvalue cutoff standing in for restriction to the
 operator range.
 
-That decomposition takes one of four routes:
+The decomposition is one of four routes, chosen in one place
+(``KernelMatrix.weighted_eigh``).  Each route is an object that answers for
+itself: ``at(cutoff_rel)`` is the route that solves at that cutoff, ``rank``
+and ``rank_certified`` give the rank it keeps and what decided it, ``solve``
+is the pseudo-inverse solve with each column's relative mass outside the
+kept range, ``kept_diagonal`` is the diagonal of ``S`` on what the cutoff
+keeps, and ``eigenvalues`` are descending.
 
-* ``wide``: when the kernel supplies an exact factor ``S = F Fᴴ`` with
-  r < n columns (``KernelMatrix.exact_factor``; the kernel a wide transform
-  induces, ``transform.InducedKernel``, supplies its feature side), the
-  spectrum is read from the r x r side.  From r >= ``LOW_RANK_MIN_SIZE`` a
-  Cholesky ``G = Fᴴ F = L Lᴴ`` is tried first (Golub & Van Loan, *Matrix
-  Computations*, §4.2): when it succeeds no eigenvectors are formed, since
-  at a cutoff that keeps all r nonzero eigenvalues the pseudo-inverse is
-  ``F G⁻² Fᴴ``.  Below that size, or when ``G`` is not numerically positive
-  definite, a thin QR of F and one r x r ``eigh`` give the eigenpairs; a
-  cutoff that drops one of the r reads them, run then, once
-  (``KernelMatrix.dense_eigh``).
-* ``low_rank``: at n >= ``LOW_RANK_MIN_SIZE`` a pivoted Cholesky
-  ``S ≈ L Lᴴ`` is tried first (Harbrecht, Peters & Schneider 2012).  It is
-  used when it needs at most n / 8 pivots, all positive, and its error
-  ``err = ||S - L Lᴴ||_F`` is at most ``n * eps * lambda_max`` (``eps`` the
-  machine epsilon), the backward error of the dense ``eigh`` it replaces.
-  By Weyl's inequality ``lambda_min(S) >= -err``, and the last eigenvalue
-  slot carries that bound.  Its factor then takes one small ``eigh``.
-* ``cholesky``: otherwise, at n >= ``LOW_RANK_MIN_SIZE``, ``S`` is factored
-  by a full Cholesky ``S = L Lᴴ``.  When it succeeds no eigenvectors are
-  formed: at a cutoff that keeps every eigenvalue the pseudo-inverse is the
-  inverse, and the solves are two triangular substitutions with ``L``.  A
-  cutoff that drops an eigenvalue reads the dense ``eigh``, run then, once
-  (``KernelMatrix.dense_eigh``).
-* ``dense``: otherwise, or when ``S`` is not numerically positive definite,
-  the n x n form is decomposed by one ``eigh``.
+* ``EigenRoute`` holds eigenpairs.
+  - ``dense``: one ``eigh`` of the n x n form.
+  - ``low_rank``: at n >= ``LOW_RANK_MIN_SIZE`` a pivoted Cholesky
+    ``S ≈ L Lᴴ`` is tried first (Harbrecht, Peters & Schneider 2012).  It is
+    used when it needs at most n / 8 pivots, all positive, and its error
+    ``err = ||S - L Lᴴ||_F`` is at most ``n * eps * lambda_max`` (``eps`` the
+    machine epsilon), the backward error of the dense ``eigh`` it replaces.
+    By Weyl's inequality ``lambda_min(S) >= -err``, and the last eigenvalue
+    slot carries that bound.  Its factor then takes one small ``eigh``.
+  - ``wide`` below r = ``LOW_RANK_MIN_SIZE``: the kernel supplies an exact
+    factor ``S = F Fᴴ`` with r < n columns (``KernelMatrix.exact_factor``;
+    the kernel a wide transform induces, ``transform.InducedKernel``,
+    supplies its feature side), and a thin QR of F and one r x r ``eigh``
+    give the eigenpairs.
+  A factor route's eigenvectors have fewer columns than rows, and its
+  remaining eigenvalues are zeros.
+* ``CholeskyRoute`` holds a form ``A`` and, in the eigenvectors' place, its
+  Cholesky factor ``A = L Lᴴ`` (Golub & Van Loan, *Matrix Computations*,
+  §4.2).  On the ``cholesky`` route ``A = S``, from n = ``LOW_RANK_MIN_SIZE``
+  where no low-rank factor applies; on the ``wide`` route (``WideRoute``)
+  ``A = G = Fᴴ F``, from r = ``LOW_RANK_MIN_SIZE``.  At a cutoff that keeps
+  every eigenvalue the pseudo-inverse is ``S⁻¹``, two triangular
+  substitutions with ``L``, or ``F G⁻² Fᴴ``.  At a cutoff that drops one, or
+  when ``A`` is not numerically positive definite, the route's eigenpairs
+  answer instead: the dense ``eigh`` of ``S`` formed anew, or the thin QR of
+  ``wide``, computed once (``CholeskyRoute.eigenpairs``).
 
-``KernelMatrix.weighted_eigh`` alone chooses among the four.  A factor route
-yields eigenvectors with fewer columns than rows, or the wide Cholesky factor
-in their place, and its remaining eigenvalues are zeros.
-
-On the two Cholesky routes nothing is factored when the route is chosen:
-the form ``A`` (``S``, or ``G``) is held, and its first read decides which
-factor is computed (``WeightedEigh``).  Every factor is written over the
-form it factors, by a blocked Cholesky (``_cholesky_in_place``), so the
-factor takes the form's buffer and no n x n array of its own.
+On a Cholesky route nothing is factored when the route is chosen: ``A`` is
+held, and its first read decides which factor is computed.  Every factor is
+written over the form it factors, by a blocked Cholesky
+(``_cholesky_in_place``), so the factor takes the form's buffer and no
+n x n array of its own.
 
 * A read of the spectrum runs ``eigvalsh(A)`` first, then factors ``A``.
   A read of the factor or the route name factors ``A`` alone.  ``verify``
@@ -58,17 +60,18 @@ factor takes the form's buffer and no n x n array of its own.
   Numerical Algorithms*, Thm 10.3), its success puts every eigenvalue
   above ``cutoff_rel * lambda_max``, so the rank is r.  And it is the solve
   factor of ``invert``, which refines its solve on the data residual
-  (``transform.invert``).  Every other solve (``_solve_columns``,
-  ``_kept_diagonal``) first replaces the shifted factor by one of ``A``
-  itself, formed anew (``WeightedEigh.drop_shift``).  ``invert`` runs one
-  Cholesky, shifted, and no ``eigvalsh``.
+  (``transform.invert``).  A solve through ``L``, and the ``cholesky``
+  route's kept diagonal, first replace the shifted factor by one of ``A``
+  itself, formed anew (``CholeskyRoute.drop_shift``).  A solve the
+  eigenpairs answer, and the ``wide`` route's kept diagonal, which reads F
+  alone, keep it.  ``invert`` runs one Cholesky, shifted, and no
+  ``eigvalsh``.
 * A failed factorization leaves its form spoiled; the form is released and
   formed anew where it is read next.  When the certificate fails, ``A`` is
   formed anew, and ``eigvalsh`` and the unshifted factor decide, so a rank
   below r is never decided by the certificate.  When ``A`` itself is not
-  numerically positive definite, the route turns into ``dense``, on ``A``
-  formed anew, or into the thin QR of ``wide``, there and then, and that
-  route's eigenvalues are reported.
+  numerically positive definite, the route's name and eigenvalues become
+  its eigenpairs', there and then.
 
 So ``verify`` and ``invert`` on the ``cholesky`` route hold at most three
 n x n arrays at once: ``gram``, the form or its factor, and the copy of the
@@ -102,63 +105,103 @@ LOW_RANK_MIN_SIZE = 512
 PIVOT_STOP_REL = 1e-14
 
 
-class WeightedEigh:
-    """The weighted form's decomposition, and how it was computed.
+@dataclass(eq=False)
+class EigenRoute:
+    """Eigenpairs of ``S``: the ``dense`` and ``low_rank`` routes, and ``wide`` below the floor.
 
-    ``decomposition`` names the route: ``"dense"``, ``"wide"``,
-    ``"low_rank"`` or ``"cholesky"``.  ``certified_error`` is
-    ``||S - L Lᴴ||_F`` of the low-rank factor, and 0 on the exact routes.
-    On the eigenvector routes ``eigenvalues`` (descending) and
-    ``eigenvectors`` are set when it is built, and ``L`` and ``F`` are None.
-
-    On the two Cholesky routes a Cholesky factor ``L`` takes the
-    eigenvectors' place: on the ``cholesky`` route of ``S``, on the ``wide``
-    route of ``G = Fᴴ F`` for the exact n x r factor ``S = F Fᴴ`` held in
-    ``F``.  The form ``A`` (``S`` or ``G``) is held unfactored, and the first
-    read decides how it is factored (module docstring).  Every factor is
-    written over ``A`` (``_cholesky_in_place``), so ``L`` is ``A``'s buffer:
-
-    * ``keeps_all`` with the eigenvalues unread factors ``A - c I``, with
-      the certificate's shift ``c``; its factor is kept, ``shift`` is ``c``
-      and ``solve`` solves with ``A - c I``.  When it fails, ``A`` is spoiled
-      and released;
-    * ``eigenvalues`` runs ``eigvalsh(A)`` first, then factors ``A``;
-    * any other read (``eigenvectors``, ``L``, ``decomposition``) factors
-      ``A`` itself.  Reading the route name is such a read: before a rank
-      query it costs ``invert`` a second factorization.
-
-    When ``A`` is not numerically positive definite the failed factor has
-    spoiled it, and the route turns into the eigenvector one: ``dense``, on
-    ``A`` formed anew, or the thin QR of ``wide``.  The eigenvalues are then
-    that route's, and an ``eigvalsh`` run before is discarded.
-
-    ``drop_shift`` replaces a shifted factor by the unshifted one.  Whenever
-    ``A`` is needed after it was factored or released, it is formed again
-    with ``reform``, the expression ``KernelMatrix.weighted_eigh`` used.
-    ``reform`` binds arrays only: a reference to the kernel would make a
-    cycle with the decomposition the kernel caches.
+    ``eigenvalues`` are descending, and the columns of ``eigenvectors`` are
+    orthonormal.  They are n x n on the ``dense`` route, or n x r on a factor
+    route, where the form is ``F Fᴴ`` with r < n columns in F (the kernel of
+    a wide transform exactly, a low-rank kernel up to the certified error):
+    the other n - r eigenvalues are zeros sorted in, and column k pairs with
+    eigenvalue k for every eigenvalue above zero, so for every kept one.
+    ``certified_error`` is ``||S - L Lᴴ||_F`` of the low-rank factor, and 0
+    on the exact routes; on the low-rank route the last eigenvalue is not
+    computed but a certified lower bound, lowered by it.
     """
 
-    def __init__(
-        self,
-        eigenvalues: np.ndarray | None,
-        eigenvectors: np.ndarray | None,
-        decomposition: str,
-        certified_error: float,
-        F: np.ndarray | None = None,
-        form: np.ndarray | None = None,
-        reform: Callable[[], np.ndarray] | None = None,
-    ):
-        self._eigenvalues = eigenvalues
-        self._eigenvectors = eigenvectors
-        self._decomposition = decomposition
-        self.certified_error = certified_error
-        self.F = F
-        self._L: np.ndarray | None = None
-        self.shift = 0.0
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    decomposition: str
+    certified_error: float = 0.0
+
+    def at(self, cutoff_rel: float) -> EigenRoute:
+        """The route that solves at this cutoff: eigenpairs solve at every one."""
+        return self
+
+    def rank(self, cutoff_rel: float) -> int:
+        return _rank(self.eigenvalues, cutoff_rel)
+
+    def rank_certified(self, cutoff_rel: float) -> bool:
+        return False
+
+    def solve(self, y: np.ndarray, cutoff_rel: float) -> tuple[np.ndarray, np.ndarray]:
+        """``S⁺ y`` on the kept eigenpairs, and each column's relative mass outside them."""
+        lam, U = self.eigenvalues, self.eigenvectors
+        rank = self.rank(cutoff_rel)
+        coeffs = U.conj().T @ y
+        if U.shape[1] == U.shape[0]:
+            dropped, whole = coeffs[rank:], coeffs
+        else:
+            # U spans only part of the space: measure what the kept columns leave out
+            dropped, whole = y - U[:, :rank] @ coeffs[:rank], y
+        # at rank 0 the empty product is the zero solution
+        return U[:, :rank] @ (coeffs[:rank] / lam[:rank, None]), _relative_norms(dropped, whole)
+
+    def kept_diagonal(self, cutoff_rel: float) -> np.ndarray:
+        """``sum_{k < rank} lam_k |U[q, k]|^2``: the diagonal of ``S`` on the kept eigenpairs."""
+        rank = self.rank(cutoff_rel)
+        return np.abs(self.eigenvectors[:, :rank]) ** 2 @ self.eigenvalues[:rank]
+
+
+class CholeskyRoute:
+    """The ``cholesky`` route: a Cholesky factor ``L`` of the form ``A = S`` stands in for eigenpairs.
+
+    The form is held unfactored, and the first read decides how it is
+    factored (module docstring).  Every factor is written over ``A``
+    (``_cholesky_in_place``), so ``L`` is ``A``'s buffer:
+
+    * a rank query with the eigenvalues unread factors ``A - c I``, with the
+      certificate's shift ``c``; its factor is kept, ``shift`` is ``c`` and
+      ``solve_shifted`` solves with ``A - c I``.  When it fails, ``A`` is
+      spoiled and released;
+    * ``eigenvalues`` runs ``eigvalsh(A)`` first, then factors ``A``;
+    * a read of the route name factors ``A`` itself: before a rank query
+      it costs ``invert`` a second factorization.
+
+    At a cutoff that drops an eigenvalue, and when ``A`` is not numerically
+    positive definite, ``eigenpairs`` answer; in the second case they also
+    give the route's name and eigenvalues, and an ``eigvalsh`` run before is
+    discarded.  Whenever ``A`` is needed after it was factored or released,
+    it is formed again with ``reform``, the expression
+    ``KernelMatrix.weighted_eigh`` used.  ``reform`` binds arrays only: a
+    reference to the kernel would make a cycle with the route the kernel
+    caches.
+    """
+
+    #: the route's name while ``A`` is numerically positive definite
+    factored_name = "cholesky"
+    certified_error = 0.0
+
+    def __init__(self, form: np.ndarray, reform: Callable[[], np.ndarray]):
         self._form = form
         self._reform = reform
+        self.size = form.shape[0]
+        #: the factor, of ``A - shift I``, once one is held
+        self.L: np.ndarray | None = None
+        self.shift = 0.0
+        self._eigenvalues: np.ndarray | None = None
+        self._failed = False
         self._certified: set[float] = set()
+
+    @cached_property
+    def eigenpairs(self) -> EigenRoute:
+        """The dense ``eigh`` of ``S``, formed anew; computed once, on first use."""
+        return _dense_eigh(self._reform())
+
+    def _spectrum(self, lam: np.ndarray) -> np.ndarray:
+        """The eigenvalues of ``S`` from the descending eigenvalues of ``A``."""
+        return lam
 
     def _held_form(self) -> np.ndarray:
         """The form held, or formed anew once it was factored or released."""
@@ -166,65 +209,45 @@ class WeightedEigh:
             self._form = self._reform()
         return self._form
 
-    def _factor_form(self) -> bool:
-        """Whether factoring ``A`` over itself succeeded; its buffer is then ``L``."""
-        A, self._form = self._held_form(), None
-        if not _cholesky_in_place(A):
-            return False
-        self._L = A
-        return True
+    def _factored(self) -> bool:
+        """Whether ``A`` is numerically positive definite; the first call factors ``A`` over itself.
 
-    def _resolve(self) -> None:
-        """On a Cholesky route not yet factored, factor ``A``, or fall back to eigenvectors."""
-        if self._reform is None or self._L is not None or self._factor_form():
-            return
-        # not numerically positive definite: eigenvectors decide, as on the routes below the floor
-        fallback = _dense_eigh(self._reform()) if self.F is None else _factor_eigh(self.F, "wide")
-        self._eigenvalues, self._eigenvectors = fallback._eigenvalues, fallback._eigenvectors
-        self._decomposition = fallback._decomposition
-        self.F = self._reform = None
+        On failure the eigenpairs are computed there and then, and their
+        eigenvalues become the route's.
+        """
+        if self.L is None and not self._failed:
+            A, self._form = self._held_form(), None
+            if _cholesky_in_place(A):
+                self.L = A
+            else:
+                # spoiled: released before the eigenpairs form A anew
+                del A
+                self._failed = True
+                self._eigenvalues = self.eigenpairs.eigenvalues
+        return not self._failed
 
     @property
     def decomposition(self) -> str:
-        self._resolve()
-        return self._decomposition
-
-    @property
-    def eigenvectors(self) -> np.ndarray | None:
-        self._resolve()
-        return self._eigenvectors
-
-    @property
-    def L(self) -> np.ndarray | None:
-        self._resolve()
-        return self._L
+        return self.factored_name if self._factored() else self.eigenpairs.decomposition
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """The eigenvalues of ``S``, descending; on a Cholesky route ``eigvalsh``'s, run once.
-
-        ``eigvalsh`` reads ``A`` before the factor is written over it.
-        """
+        """The eigenvalues of ``S``, descending: ``eigvalsh``'s, run once, before ``A`` is factored."""
         if self._eigenvalues is None:
             lam = np.linalg.eigvalsh(self._held_form())[::-1]
-            # factors A over itself, unless the certificate's factor is held already
-            self._resolve()
+            # factors A over itself, unless a factor is held already
+            if self._factored():
+                self._eigenvalues = self._spectrum(lam)
             self._form = None
-            # a failed factor turned the route into an eigenvector one, which set the eigenvalues
-            if self._eigenvalues is None:
-                self._eigenvalues = lam if self.F is None else _with_zeros(lam, self.F.shape[0])
         return self._eigenvalues
 
-    def keeps_all(self, cutoff_rel: float) -> bool:
-        """Whether a Cholesky factor inverts every eigenvalue ``cutoff_rel * lambda_max`` keeps.
+    def _keeps_all(self, cutoff_rel: float) -> bool:
+        """Whether ``L`` inverts every eigenvalue ``cutoff_rel * lambda_max`` keeps.
 
-        False on an eigenvector route.  While the eigenvalues are unread the
-        shifted Cholesky may certify it, once per cutoff, and its factor
-        becomes ``L`` when none is held yet; otherwise, or when it fails,
-        the eigenvalues decide.
+        While the eigenvalues are unread the shifted Cholesky may certify it,
+        once per cutoff, and its factor becomes ``L`` when none is held yet;
+        otherwise, or when it fails, the eigenvalues decide.
         """
-        if self._reform is None:
-            return False
         if cutoff_rel in self._certified:
             return True
         if self._eigenvalues is None:
@@ -232,32 +255,105 @@ class WeightedEigh:
             shift = _certifies_full_rank(A, cutoff_rel)
             if shift is not None:
                 self._certified.add(cutoff_rel)
-                if self._L is None:
-                    self._L, self.shift = A, shift
+                if self.L is None:
+                    self.L, self.shift = A, shift
                 return True
             # spoiled: released before the eigenvalues form A anew
             del A
-        lam = self.eigenvalues
-        # reading them factored A, or turned the route into an eigenvector one
-        return self._reform is not None and _rank(lam, cutoff_rel) == self._L.shape[0]
+        # reading the eigenvalues factored A, or found it not positive definite
+        return _rank(self.eigenvalues, cutoff_rel) == self.size and self._factored()
+
+    def at(self, cutoff_rel: float) -> CholeskyRoute | EigenRoute:
+        """The route that solves at this cutoff: this one where ``L`` keeps all, else ``eigenpairs``."""
+        return self if self._keeps_all(cutoff_rel) else self.eigenpairs
+
+    def rank(self, cutoff_rel: float) -> int:
+        return self.size if self._keeps_all(cutoff_rel) else self.eigenpairs.rank(cutoff_rel)
 
     def rank_certified(self, cutoff_rel: float) -> bool:
         """Whether the shifted Cholesky, not the eigenvalues, decided the rank at this cutoff."""
         return cutoff_rel in self._certified
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, y: np.ndarray, cutoff_rel: float) -> tuple[np.ndarray, np.ndarray]:
+        """``S⁺ y``, and each column's relative mass outside the kept range (``EigenRoute.solve``)."""
+        if not self._keeps_all(cutoff_rel):
+            return self.eigenpairs.solve(y, cutoff_rel)
+        self.drop_shift()
+        return self._solve_kept(y)
+
+    def _solve_kept(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``S⁻¹ y`` by ``L``; nothing is dropped."""
+        return _cholesky_solve(self.L, y), np.zeros(y.shape[1])
+
+    def kept_diagonal(self, cutoff_rel: float) -> np.ndarray:
+        """The diagonal of ``S`` on what the cutoff keeps: the squared row norms of ``S``'s factor."""
+        if not self._keeps_all(cutoff_rel):
+            return self.eigenpairs.kept_diagonal(cutoff_rel)
+        factor = self._factor_of_s()
+        return np.einsum("ij,ij->i", factor, factor.conj()).real
+
+    def _factor_of_s(self) -> np.ndarray:
+        """``L``, with ``S = L Lᴴ``: a shifted factor is replaced first."""
+        self.drop_shift()
+        return self.L
+
+    def solve_shifted(self, b: np.ndarray) -> np.ndarray:
         """``(A - shift I)⁻¹ b`` by the held factor."""
         return _cholesky_solve(self.L, b)
 
     def drop_shift(self) -> None:
-        """Replace the certificate's shifted factor by a factor of ``A`` itself, formed anew.
+        """Replace the certificate's shifted factor, if one is held, by a factor of ``A`` itself.
 
-        The shifted factor is released first.  ``A`` is positive definite by
-        more than the shift, so its factor cannot fail but by a defect.
+        The shifted factor is released first, and ``A`` formed anew.  ``A``
+        is positive definite by more than the shift, so its factor cannot
+        fail but by a defect.
         """
-        self._L, self.shift = None, 0.0
-        if not self._factor_form():
-            raise np.linalg.LinAlgError("a certified form is not numerically positive definite")
+        if self.shift:
+            self.L, self.shift = None, 0.0
+            if not self._factored():
+                raise np.linalg.LinAlgError("a certified form is not numerically positive definite")
+
+
+class WideRoute(CholeskyRoute):
+    """The ``wide`` route from r = ``LOW_RANK_MIN_SIZE``: ``A = G = Fᴴ F``, with ``S = F Fᴴ`` exact.
+
+    ``F`` is n x r.  The eigenvalues of ``S`` are the r of ``G`` with the
+    n - r zeros of ``F Fᴴ`` sorted in, and ``F G⁻¹ Fᴴ`` projects onto the
+    range: the pseudo-inverse is ``F G⁻² Fᴴ``.  The eigenpairs are the thin
+    QR of ``F`` and one r x r ``eigh``.
+    """
+
+    factored_name = "wide"
+
+    def __init__(self, F: np.ndarray):
+        reform = partial(_factor_gram, F)
+        super().__init__(reform(), reform)
+        self.F = F
+
+    @cached_property
+    def eigenpairs(self) -> EigenRoute:
+        """The thin QR of ``F`` and one r x r ``eigh``; computed once, on first use."""
+        return _factor_eigh(self.F, "wide")
+
+    def _spectrum(self, lam: np.ndarray) -> np.ndarray:
+        return _with_zeros(lam, self.F.shape[0])
+
+    def _solve_kept(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``F G⁻² Fᴴ y``, and each column's relative mass that ``F G⁻¹ Fᴴ`` leaves out."""
+        # G⁻¹ Fᴴ y: F times it is the part of y in the range
+        coeffs = _cholesky_solve(self.L, self.F.conj().T @ y)
+        return self.F @ _cholesky_solve(self.L, coeffs), _relative_norms(y - self.F @ coeffs, y)
+
+    def _factor_of_s(self) -> np.ndarray:
+        """``F`` itself, which needs no factor of ``G``: a shifted one is kept."""
+        return self.F
+
+
+def _relative_norms(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
+    """``||part|| / ||whole||`` per column, 0 where ``whole`` is 0."""
+    dropped, total = np.linalg.norm(part, axis=0), np.linalg.norm(whole, axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(total > 0, dropped / total, 0.0)
 
 
 def _finite_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -335,7 +431,7 @@ def _with_zeros(lam: np.ndarray, n_dim: int) -> np.ndarray:
     return np.insert(lam, np.count_nonzero(lam > 0), np.zeros(n_dim - lam.size))
 
 
-def _factor_eigh(factor: np.ndarray, decomposition: str, error: float = 0.0) -> WeightedEigh:
+def _factor_eigh(factor: np.ndarray, decomposition: str, error: float = 0.0) -> EigenRoute:
     """Eigenpairs of ``F Fᴴ`` from its n x r factor F (r < n), standing in for ``S``.
 
     ``error`` is ``||S - F Fᴴ||_F``, 0 for an exact factor.  A thin QR
@@ -351,7 +447,7 @@ def _factor_eigh(factor: np.ndarray, decomposition: str, error: float = 0.0) -> 
     order = np.arange(r_dim - 1, -1, -1)
     lam = _with_zeros(lam[order], n_dim)
     lam[-1] -= error
-    return WeightedEigh(lam, Q @ V[:, order], decomposition, error)
+    return EigenRoute(lam, Q @ V[:, order], decomposition, error)
 
 
 def _certificate_shift(A: np.ndarray, cutoff_rel: float) -> float:
@@ -436,7 +532,7 @@ def _pivoted_cholesky(S: np.ndarray, max_rank: int) -> np.ndarray | None:
     return None
 
 
-def _low_rank_eigh(S: np.ndarray) -> WeightedEigh | None:
+def _low_rank_eigh(S: np.ndarray) -> EigenRoute | None:
     """The ``low_rank`` route for ``S``, or None when one of its conditions fails."""
     n_dim = S.shape[0]
     L = _pivoted_cholesky(S, n_dim // 8)
@@ -453,12 +549,12 @@ def _low_rank_eigh(S: np.ndarray) -> WeightedEigh | None:
     return _factor_eigh(L, "low_rank", error)
 
 
-def _dense_eigh(S: np.ndarray) -> WeightedEigh:
+def _dense_eigh(S: np.ndarray) -> EigenRoute:
     """The ``dense`` route: one ``eigh`` of the n x n form."""
     lam, U = np.linalg.eigh(S)
     # a fancy index keeps U Fortran-ordered; the solves' last digits depend on it
     order = np.arange(lam.size - 1, -1, -1)
-    return WeightedEigh(lam[order], U[:, order], "dense", 0.0)
+    return EigenRoute(lam[order], U[:, order], "dense")
 
 
 class KernelMatrix:
@@ -490,8 +586,8 @@ class KernelMatrix:
         return None
 
     @cached_property
-    def weighted_eigh(self) -> WeightedEigh:
-        """Eigenvalues of ``S = sqrt(W) gram sqrt(W)``, descending; computed once, on first use.
+    def weighted_eigh(self) -> EigenRoute | CholeskyRoute:
+        """The route that decomposes ``S = sqrt(W) gram sqrt(W)``; chosen once, on first use.
 
         This is where the route is chosen (see the module docstring): the
         ``wide`` route when ``exact_factor`` supplies one, else the
@@ -499,92 +595,40 @@ class KernelMatrix:
         when neither applies.  The pivoted Cholesky and the Cholesky routes
         apply from ``LOW_RANK_MIN_SIZE`` on the side decomposed: r for a
         wide factor, whose thin QR runs otherwise, and n for any other kernel.
-        The result holds eigenvectors or, once factored, a Cholesky factor
-        ``L``, which takes their place in memory.  A Cholesky route holds
-        ``S`` (or ``G``) unfactored until its first read, which decides
-        whether ``S`` itself or the rank certificate's ``S - c I`` is
-        factored, and whether the route turns into ``dense`` (or the thin
-        QR) after all (``WeightedEigh``).
-        """
-        factor = self.exact_factor()
-        S = _weighted_form(self.gram, self.grid.weights) if factor is None else None
-        side = self.size if factor is None else factor.shape[1]
-        if side >= LOW_RANK_MIN_SIZE:
-            if factor is not None:
-                reform = partial(_factor_gram, factor)
-                return WeightedEigh(None, None, "wide", 0.0, factor, reform(), reform)
-            reform = partial(_weighted_form, self.gram, self.grid.weights)
-            return _low_rank_eigh(S) or WeightedEigh(None, None, "cholesky", 0.0, None, S, reform)
-        if factor is not None:
-            return _factor_eigh(factor, "wide")
-        return _dense_eigh(S)
-
-    @cached_property
-    def dense_eigh(self) -> WeightedEigh:
-        """The eigenpairs of ``S`` with eigenvectors, formed anew; computed once, on first use.
-
-        That is the dense ``eigh`` of ``S`` or, for a kernel with an exact
-        factor, the ``wide`` route's thin QR and small ``eigh``.  Only
-        ``spectral_data`` reads it, at a cutoff that drops an eigenvalue the
-        Cholesky factor of ``weighted_eigh`` inverts.
+        A Cholesky route holds ``S`` (or ``G``) unfactored until its first
+        read (``CholeskyRoute``).
         """
         factor = self.exact_factor()
         if factor is not None:
-            return _factor_eigh(factor, "wide")
-        return _dense_eigh(_weighted_form(self.gram, self.grid.weights))
+            return _factor_eigh(factor, "wide") if factor.shape[1] < LOW_RANK_MIN_SIZE else WideRoute(factor)
+        reform = partial(_weighted_form, self.gram, self.grid.weights)
+        S = reform()
+        if self.size < LOW_RANK_MIN_SIZE:
+            return _dense_eigh(S)
+        return _low_rank_eigh(S) or CholeskyRoute(S, reform)
 
 
 class SpectralData:
-    """Spectrum of the weighted symmetric form at one cutoff, and what its solves read.
+    """Spectrum of the weighted symmetric form at one cutoff, and the route that solves there.
 
-    Eigenvalues are sorted descending; eigenvector columns are orthonormal in
-    the Euclidean product of the symmetrized form.  ``numerical_rank`` counts
-    eigenvalues strictly above ``cutoff``.  The eigenvectors are n x n on the
-    dense route, or n x r on a factor route, where the form is ``F Fᴴ`` with
-    r < n columns in F (the kernel of a wide transform exactly, a low-rank
-    kernel up to the certified error): the other n - r eigenvalues are zeros
-    sorted in, and column k pairs with eigenvalue k for every eigenvalue
-    above zero, so for every kept one.  On the low-rank route the last
-    eigenvalue is not computed but a certified lower bound, lowered by the
-    factor's error (``KernelMatrix.weighted_eigh``).
-
-    When a Cholesky factor stands in for the eigenvectors and the cutoff
-    keeps every eigenvalue it inverts, ``eigenvectors`` is None and the
-    solves run through ``L``, a factor of ``A - c I``: ``c`` is the rank
-    certificate's shift when its factor is held, else 0
-    (``WeightedEigh.keeps_all``).  On the ``cholesky`` route ``A = S`` and the
-    eigenvalues are all n; on the ``wide`` route they are the r nonzero
-    ones, ``F`` is the exact factor ``S = F Fᴴ`` and ``A = G = Fᴴ F``.  There
-    ``eigenvalues`` and ``cutoff`` are ``eigvalsh``'s, computed at their
-    first read, and ``L`` is read from the decomposition, whose
-    ``drop_shift`` may replace it.  At a cutoff that drops one,
-    every field comes from the decomposition with eigenvectors
-    (``KernelMatrix.dense_eigh``) and ``L`` and ``F`` are None, as on every
-    other route.
+    ``route`` is ``KernelMatrix.weighted_eigh.at(cutoff_rel)``: the Cholesky
+    route itself when its factor keeps every eigenvalue, else eigenpairs
+    (module docstring).  ``eigenvalues`` are the route's, descending, and
+    ``numerical_rank`` counts those strictly above ``cutoff``; on a Cholesky
+    route whose rank the shifted Cholesky certified, neither reads them, and
+    they are ``eigvalsh``'s, computed at their first read.  On the ``wide``
+    routes they are the r nonzero ones with the n - r zeros of ``F Fᴴ``
+    sorted in.
     """
 
-    def __init__(self, eig: WeightedEigh, cutoff_rel: float, numerical_rank: int | None = None):
-        self._eig = eig
+    def __init__(self, route: EigenRoute | CholeskyRoute, cutoff_rel: float):
+        self.route = route
         self._cutoff_rel = cutoff_rel
-        if numerical_rank is None:
-            numerical_rank = _rank(eig.eigenvalues, cutoff_rel)
-        self.numerical_rank = numerical_rank
+        self.numerical_rank = route.rank(cutoff_rel)
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self._eig.eigenvalues
-
-    @property
-    def eigenvectors(self) -> np.ndarray | None:
-        return self._eig.eigenvectors
-
-    @property
-    def L(self) -> np.ndarray | None:
-        return self._eig.L
-
-    @property
-    def F(self) -> np.ndarray | None:
-        return self._eig.F
+        return self.route.eigenvalues
 
     @property
     def cutoff(self) -> float:
@@ -721,26 +765,13 @@ def spectral_data(K: KernelMatrix, cutoff_rel: float = DEFAULT_CUTOFF_REL) -> Sp
     On a Cholesky route whose eigenvalues are still unread, a shifted
     Cholesky may certify that the cutoff keeps all of them, and no
     ``eigvalsh`` runs (module docstring); its outcome is cached per cutoff.
-    The first certificate's factor is held for ``invert``, and the other
-    solves replace it by the unshifted factor (``_solve_spectrum``).
+    The first certificate's factor is held for ``invert``, and a solve
+    through the factor replaces it by the unshifted one
+    (``CholeskyRoute.drop_shift``).
     """
     if not 0 < cutoff_rel < 1:
         raise ValueError("cutoff_rel must lie in (0, 1)")
-    eig = K.weighted_eigh
-    if eig.keeps_all(cutoff_rel):
-        return SpectralData(eig, cutoff_rel, eig.L.shape[0])
-    if eig.eigenvectors is None:
-        # a Cholesky factor inverts its whole matrix only: dropping needs eigenvectors
-        eig = K.dense_eigh
-    return SpectralData(eig, cutoff_rel)
-
-
-def _solve_spectrum(K: KernelMatrix, cutoff_rel: float) -> SpectralData:
-    """``spectral_data``, with any Cholesky factor one of ``A`` itself, not the certificate's ``A - c I``."""
-    spec = spectral_data(K, cutoff_rel)
-    if K.weighted_eigh.shift:
-        K.weighted_eigh.drop_shift()
-    return spec
+    return SpectralData(K.weighted_eigh.at(cutoff_rel), cutoff_rel)
 
 
 def _kept_diagonal(K: KernelMatrix, cutoff_rel: float = DEFAULT_CUTOFF_REL) -> np.ndarray:
@@ -751,12 +782,7 @@ def _kept_diagonal(K: KernelMatrix, cutoff_rel: float = DEFAULT_CUTOFF_REL) -> n
     factor of ``S``: ``(L Lᴴ)_qq`` on the ``cholesky`` route, ``(F Fᴴ)_qq``
     on the ``wide`` one.  In exact arithmetic the two agree.  O(n rank) work.
     """
-    spec = _solve_spectrum(K, cutoff_rel)
-    if spec.L is not None:
-        factor = spec.L if spec.F is None else spec.F
-        return np.einsum("ij,ij->i", factor, factor.conj()).real
-    rank = spec.numerical_rank
-    return np.abs(spec.eigenvectors[:, :rank]) ** 2 @ spec.eigenvalues[:rank]
+    return spectral_data(K, cutoff_rel).route.kept_diagonal(cutoff_rel)
 
 
 def validate_psd(K: KernelMatrix, tol_psd: float) -> PsdReport:
@@ -823,50 +849,17 @@ def _solve_columns(
     weighted-L2 norm of the component of ``rhs`` outside the numerical range
     (the dropped spectral coefficients).  Raises ``RangeViolationError`` with
     the residual of the first column above ``range_tol``, unless it is None.
-    When the ``cholesky`` route keeps every eigenvalue nothing is dropped,
-    the residuals are 0, and ``S y = sqrt(W) rhs`` is solved with ``L``.
-    When the ``wide`` route keeps every nonzero one, ``S = F Fᴴ`` with
-    ``G = Fᴴ F = L Lᴴ``: the pseudo-inverse is ``F G⁻² Fᴴ``, and
-    ``F G⁻¹ Fᴴ`` projects onto the range.  The factor is of ``S`` (or ``G``)
-    itself: the rank certificate's factor of the shifted form is replaced
-    first (``_solve_spectrum``).
+    The route that solves at the cutoff (``spectral_data``) solves
+    ``S y = sqrt(W) rhs``: when the ``cholesky`` route keeps every
+    eigenvalue nothing is dropped and the residuals are 0.
     """
-    spec = _solve_spectrum(K, cutoff_rel)
     sw = np.sqrt(K.grid.weights)
-    single = rhs.ndim == 1
-    cols = rhs[:, None] if single else rhs
-    weighted = sw[:, None] * cols
-    if spec.L is not None and spec.F is None:
-        x = _cholesky_solve(spec.L, weighted) / sw[:, None]
-        residuals = np.zeros(weighted.shape[1])
-    else:
-        lam, U, F = spec.eigenvalues, spec.eigenvectors, spec.F
-        rank = spec.numerical_rank
-        if F is not None:
-            # G⁻¹ Fᴴ y: F times it is the part of y in the range
-            coeffs = _cholesky_solve(spec.L, F.conj().T @ weighted)
-            total = np.linalg.norm(weighted, axis=0)
-            dropped = np.linalg.norm(weighted - F @ coeffs, axis=0)
-        else:
-            coeffs = U.conj().T @ weighted
-            if U.shape[1] == U.shape[0]:
-                total = np.linalg.norm(coeffs, axis=0)
-                dropped = np.linalg.norm(coeffs[rank:, :], axis=0)
-            else:
-                # U spans only part of the space: measure what the kept columns leave out
-                total = np.linalg.norm(weighted, axis=0)
-                dropped = np.linalg.norm(weighted - U[:, :rank] @ coeffs[:rank], axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            residuals = np.where(total > 0, dropped / total, 0.0)
-        if range_tol is not None and np.any(residuals > range_tol):
-            first = float(residuals[np.argmax(residuals > range_tol)])
-            raise RangeViolationError(first, range_tol)
-        if F is not None:
-            x = (F @ _cholesky_solve(spec.L, coeffs)) / sw[:, None]
-        else:
-            # at rank 0 the empty product is the zero solution
-            x = (U[:, :rank] @ (coeffs[:rank] / lam[:rank, None])) / sw[:, None]
-    if single:
+    cols = rhs[:, None] if rhs.ndim == 1 else rhs
+    x, residuals = spectral_data(K, cutoff_rel).route.solve(sw[:, None] * cols, cutoff_rel)
+    if range_tol is not None and np.any(residuals > range_tol):
+        raise RangeViolationError(float(residuals[np.argmax(residuals > range_tol)]), range_tol)
+    x /= sw[:, None]
+    if rhs.ndim == 1:
         return x[:, 0], float(residuals[0])
     return x, residuals
 

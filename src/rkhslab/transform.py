@@ -23,7 +23,7 @@ once, a square or tall ``invert`` once for its decomposition, and a wide
 With ``B = diag(m)^{1/2} H diag(w)^{1/2}`` (|T| x |E|), the weighted induced
 form is ``S = Bᴴ B``.  The kernel only supplies what it knows: the gram and,
 when |T| < |E|, the exact factor ``Bᴴ`` (``InducedKernel.exact_factor``).
-``KernelMatrix.weighted_eigh`` chooses the route, as for any kernel: a wide
+``KernelMatrix.weighted_eigh`` chooses the route object, as for any kernel: a wide
 map's spectrum comes from its |T| x |T| side (the ``wide`` route), and a
 square or tall map's |E| x |E| form, then the smaller side, is decomposed
 like any other gram's.  From |T| = ``LOW_RANK_MIN_SIZE`` the wide route
@@ -33,8 +33,9 @@ eigenvectors: ``G = L Lᴴ`` where the spectrum is read first, and
 ``invert``, which certifies a full rank and is the solve factor
 (``kernel.spectral_data``).  Below that size, or when ``G`` is not
 numerically positive definite, a thin QR of ``Bᴴ`` and one |T| x |T|
-``eigh`` run.  ``invert`` on the Cholesky factor solves the inversion
-formula on the T side, ``F = (L*L)⁻¹ L* f``, and on either Cholesky route
+``eigh`` run.  ``invert`` picks its formula from the type of the route that
+solves at its cutoff: on a ``WideRoute`` it solves the inversion formula on
+the T side, ``F = (L*L)⁻¹ L* f``, and on either Cholesky route it
 refines the solve on the data residual, through the feature map; a
 shifted factor whose refinement does not converge in a few steps gives
 way to the unshifted one (``invert``).
@@ -52,8 +53,9 @@ from .grid import DiscreteFunction, Grid, as_samples, ensure_aligned, norm_l2, r
 from .kernel import (
     DEFAULT_CUTOFF_REL,
     DEFAULT_RANGE_TOL,
+    CholeskyRoute,
     KernelMatrix,
-    WeightedEigh,
+    WideRoute,
     _hermitian_gram,
     _solve_columns,
     condition_number,
@@ -350,12 +352,12 @@ ROUNDING_ULPS = 8
 
 
 def _refined_solve(
-    eig: WeightedEigh,
+    route: CholeskyRoute,
     data: np.ndarray,
     forward: Callable[[np.ndarray], np.ndarray],
     correct: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """``x`` with ``forward(x) = data``, where ``correct`` solves it through ``eig.solve``.
+    """``x`` with ``forward(x) = data``, where ``correct`` solves it through ``route.solve_shifted``.
 
     Iterative refinement, ``x += correct(data - forward(x))`` (Higham,
     *Accuracy and Stability of Numerical Algorithms*, Ch. 12).  With the
@@ -365,11 +367,11 @@ def _refined_solve(
     correction, or the next one extrapolated from the last two, in every
     column.  When a correction is not at most half the one before, or
     ``REFINE_STEPS`` do not suffice (the iteration diverges from
-    ``lambda_min <= 2 c``), ``eig.drop_shift`` factors ``A`` itself.  With
+    ``lambda_min <= 2 c``), ``route.drop_shift`` factors ``A`` itself.  With
     an unshifted factor ``x`` is solved and takes one step.
     """
     x = correct(data)
-    if eig.shift:
+    if route.shift:
         ulps = ROUNDING_ULPS * np.finfo(float).eps
         previous = None
         for _ in range(REFINE_STEPS):
@@ -385,7 +387,7 @@ def _refined_solve(
             if np.all(converged):
                 return x
             previous = size
-        eig.drop_shift()
+        route.drop_shift()
         x = correct(data)
     return x + correct(data - forward(x))
 
@@ -400,11 +402,12 @@ def invert(
 
     Applies the adjoint composed with the inverse kernel operator,
     ``F = L*(K⁻¹ f)``, the left inverse of an injective transform.  When the
-    ``wide`` route factored ``G = B Bᴴ`` (``B = √m H √w``) the same formula
-    is solved on the T side, ``F = (L*L)⁻¹ L* f``, as ``z = G⁻¹ (B √w f)``
-    and ``F = z / √m``.  On both Cholesky routes the solve is refined on the
-    data residual (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    Ch. 12), formed through the feature map and never through the gram:
+    route that solves at the cutoff is a ``WideRoute``, a factor of
+    ``G = B Bᴴ`` (``B = √m H √w``), the same formula is solved on the T
+    side, ``F = (L*L)⁻¹ L* f``, as ``z = G⁻¹ (B √w f)`` and ``F = z / √m``.
+    On both Cholesky routes the solve is refined on the data residual
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, Ch. 12),
+    formed through the feature map and never through the gram:
     ``F += L*(K⁻¹ (f - L F))`` on the ``cholesky`` route and
     ``z += G⁻¹ B (y - Bᴴ z)``, ``y = √w f``, on the ``wide`` one.  The
     factor is the rank certificate's, of ``K - c I`` (or ``G - c I``), and
@@ -422,18 +425,16 @@ def invert(
     inj = check_injectivity(op, cutoff_rel)
     if not inj.injective:
         raise NotInjectiveError(inj.numerical_rank, op.grid_T.size)
-    spec = spectral_data(op, cutoff_rel)
+    route = spectral_data(op, cutoff_rel).route
     sw = np.sqrt(op.grid_E.weights)
-    eig = op.weighted_eigh
-    if spec.F is not None:
-        # spec.F is Bᴴ, and the data y = √w f
-        Bh = spec.F
-        B = Bh.conj().T
-        z = _refined_solve(eig, sw * f.values, lambda z: Bh @ z, lambda r: eig.solve(B @ r))
+    if isinstance(route, WideRoute):
+        # route.F is Bᴴ, and the data y = √w f
+        Bh, B = route.F, route.F.conj().T
+        z = _refined_solve(route, sw * f.values, lambda z: Bh @ z, lambda r: route.solve_shifted(B @ r))
         values = z / np.sqrt(op.grid_T.weights)
-    elif spec.L is not None:
-        values = _refined_solve(eig, f.values, partial(_forward_values, op),
-                                lambda r: _adjoint_values(op, eig.solve(sw * r) / sw))
+    elif isinstance(route, CholeskyRoute):
+        values = _refined_solve(route, f.values, partial(_forward_values, op),
+                                lambda r: _adjoint_values(op, route.solve_shifted(sw * r) / sw))
     else:
         solved = solve_kernel_system(op, f, cutoff_rel, range_tol=None)
         values = _adjoint_values(op, solved.solution.values)

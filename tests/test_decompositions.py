@@ -428,6 +428,42 @@ def test_verify_reads_the_spectrum_and_runs_no_certificate(factorizations, chole
     assert cholesky_shapes == [(600, 600)]
 
 
+def test_solve_answered_by_the_eigenpairs_keeps_the_shifted_factor(monkeypatch, factorizations):
+    # after a certified rank, a cutoff that drops an eigenvalue solves with the
+    # dense eigh: the failed certificate at that cutoff is the only other
+    # factorization, and the certificate's factor is not replaced
+    grid = rl.make_uniform_grid(0, 1, 600, "midpoint")
+    K = rl.assemble_kernel(rl.builtin_kernel("brownian"), grid)
+    dense = rl.kernel_from_gram(K.gram, grid)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel_module, "LOW_RANK_MIN_SIZE", 601)
+        assert dense.weighted_eigh.decomposition == "dense"
+    factorizations.update(cholesky=0, eigvalsh=0)
+    assert rl.spectral_data(K).numerical_rank == 600
+    ones = np.ones(600)
+    x, residual = kernel_module._solve_columns(K, ones, 0.5)
+    assert factorizations == {"cholesky": 2, "eigvalsh": 1}
+    assert K.weighted_eigh.shift > 0.0
+    x_dense, residual_dense = kernel_module._solve_columns(dense, ones, 0.5)
+    np.testing.assert_array_equal(x, x_dense)
+    assert residual == residual_dense == pytest.approx(0.43524, abs=1e-5)
+
+
+def test_wide_kept_diagonal_reads_the_factor_alone(factorizations):
+    # the squared row norms of F need no factor of G: after a certified rank
+    # the shifted factor stays, and the values are those of a spectrum read first
+    op = induced_kernel("indicator", 600, 1200)
+    reference = rl.build_transform(op.feature)
+    reference.weighted_eigh.eigenvalues
+    expected = kernel_module._kept_diagonal(reference)
+    factorizations.update(cholesky=0, eigvalsh=0)
+    assert rl.spectral_data(op).numerical_rank == 600
+    diag = kernel_module._kept_diagonal(op)
+    assert factorizations == {"cholesky": 1, "eigvalsh": 0}
+    assert op.weighted_eigh.decomposition == "wide" and op.weighted_eigh.shift > 0.0
+    np.testing.assert_array_equal(diag, expected)
+
+
 def trial_images(kernel, config):
     """The in-range trial functions verify draws, as columns, from the config seed."""
     rng = np.random.default_rng(config.seed)

@@ -219,7 +219,7 @@ class TestSpectralData:
         K = rl.assemble_kernel(rl.builtin_kernel("brownian"), grid01)
         spec = rl.spectral_data(K, 1e-12)
         assert np.all(np.diff(spec.eigenvalues) <= 0)
-        U = spec.eigenvectors
+        U = spec.route.eigenvectors
         assert np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1]))) < 1e-12
         assert spec.numerical_rank == np.count_nonzero(spec.eigenvalues > spec.cutoff)
 
@@ -228,7 +228,8 @@ class TestSpectralData:
         spec = rl.spectral_data(K, 1e-12)
         sw = np.sqrt(grid01.weights)
         S = sw[:, None] * K.gram * sw[None, :]
-        recon = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.conj().T
+        U = spec.route.eigenvectors
+        recon = U @ np.diag(spec.eigenvalues) @ U.conj().T
         assert np.linalg.norm(recon - S) / np.linalg.norm(S) < 1e-10
 
     def test_invalid_cutoff(self, grid01):
@@ -371,7 +372,8 @@ class TestCholeskyRoute:
         K, dense = routes
         chol, full = K.weighted_eigh, dense.weighted_eigh
         assert (chol.decomposition, full.decomposition) == ("cholesky", "dense")
-        assert chol.eigenvectors is None and chol.certified_error == 0.0
+        assert type(chol) is rl.kernel.CholeskyRoute and chol.certified_error == 0.0
+        assert "eigenpairs" not in vars(chol)
         n = K.size
         lam_max = full.eigenvalues[0]
         gap = np.max(np.abs(chol.eigenvalues - full.eigenvalues))
@@ -397,7 +399,7 @@ class TestCholeskyRoute:
         assert np.max(np.abs(inner_chol - inner_dense)) <= 1e-10 * np.max(np.abs(inner_dense))
         assert np.max(np.abs(recon_chol - recon_dense)) <= 1e-10 * np.max(np.abs(F))
         assert np.max(np.abs(recon_chol - F)) <= np.max(np.abs(recon_dense - F))
-        assert "dense_eigh" not in vars(K)
+        assert "eigenpairs" not in vars(K.weighted_eigh)
 
     def test_dropping_cutoff_reads_the_dense_eigh(self, monkeypatch):
         grid = rl.make_uniform_grid(0, 1, 600, "midpoint")
@@ -409,7 +411,7 @@ class TestCholeskyRoute:
         )
         spec, dense_spec = rl.spectral_data(K, 1e-3), rl.spectral_data(dense, 1e-3)
         assert spec.numerical_rank == dense_spec.numerical_rank < K.size
-        assert spec.L is None
+        assert spec.route is K.weighted_eigh.eigenpairs
         X, residuals = rl.kernel._solve_columns(K, F, 1e-3)
         X_dense, residuals_dense = rl.kernel._solve_columns(dense, F, 1e-3)
         np.testing.assert_array_equal(X, X_dense)
@@ -419,7 +421,7 @@ class TestCholeskyRoute:
             rl.kernel._kept_diagonal(K, 1e-3), rl.kernel._kept_diagonal(dense, 1e-3)
         )
         # the full-rank cutoff still solves through the factor
-        assert rl.spectral_data(K).L is K.weighted_eigh.L
+        assert rl.spectral_data(K).route is K.weighted_eigh
 
 
 class TestRankCertificate:
@@ -447,12 +449,12 @@ class TestRankCertificate:
         assert K.weighted_eigh.rank_certified(self.CUTOFF) is certified
         assert len(eigvalsh_calls) == (0 if certified else 1)
         # a dropped eigenvalue reads the dense eigh, a kept one solves through L
-        assert (spec.L is None) is (rank < 600)
+        assert (spec.route is K.weighted_eigh) is (rank == 600)
         assert rl.spectral_data(K, self.CUTOFF).numerical_rank == rank
         assert len(eigvalsh_calls) == (0 if certified else 1)
         # eigenvalues read after the certificate are those read first, bit for bit
         np.testing.assert_array_equal(K.weighted_eigh.eigenvalues, expected)
-        source = K.weighted_eigh if rank == 600 else K.dense_eigh
+        source = K.weighted_eigh if rank == 600 else K.weighted_eigh.eigenpairs
         assert spec.eigenvalues is source.eigenvalues
         assert spec.cutoff == self.CUTOFF * source.eigenvalues[0]
 
@@ -710,7 +712,8 @@ class TestDenseFallback:
         dense = forced_dense(monkeypatch, K)
         if route == "dense":
             np.testing.assert_array_equal(K.weighted_eigh.eigenvalues, dense.weighted_eigh.eigenvalues)
-            np.testing.assert_array_equal(K.weighted_eigh.eigenvectors, dense.weighted_eigh.eigenvectors)
+            np.testing.assert_array_equal(rl.spectral_data(K).route.eigenvectors,
+                                          dense.weighted_eigh.eigenvectors)
         rank = rl.spectral_data(K).numerical_rank
         assert rank == rl.spectral_data(dense).numerical_rank == n // 8 + extra
 

@@ -349,7 +349,7 @@ class TestWideSpectrum:
         spec = rl.spectral_data(wide_op, 1e-12)
         lam = spec.eigenvalues
         assert lam.shape == (40,) and np.all(np.diff(lam) <= 0)
-        assert spec.eigenvectors.shape == (40, 30)
+        assert spec.route.eigenvectors.shape == (40, 30)
         assert np.max(np.abs(lam - dense)) <= 1e-12 * dense[0]
         # the 10 structural zeros are exact; past the rank only roundoff remains
         assert np.count_nonzero(lam == 0.0) >= 10
@@ -359,7 +359,7 @@ class TestWideSpectrum:
         B = _weighted_factor(wide_op)
         S = B.conj().T @ B
         spec = rl.spectral_data(wide_op, 1e-12)
-        U = spec.eigenvectors
+        U = spec.route.eigenvectors
         assert np.max(np.abs(U.conj().T @ U - np.eye(30))) <= 1e-12
         kept = U[:, : spec.numerical_rank]
         recon = (kept * spec.eigenvalues[: spec.numerical_rank]) @ kept.conj().T
@@ -502,9 +502,10 @@ class TestWideCholeskyRoute:
         op, qr = routes
         chol, full = op.weighted_eigh, qr.weighted_eigh
         assert (chol.decomposition, full.decomposition) == ("wide", "wide")
-        assert chol.eigenvectors is None and chol.certified_error == 0.0
+        assert type(chol) is rl.kernel.WideRoute and chol.certified_error == 0.0
+        assert "eigenpairs" not in vars(chol)
         assert chol.L.shape == (op.grid_T.size,) * 2 and chol.F.shape == (op.size, op.grid_T.size)
-        assert full.L is None and full.F is None
+        assert type(full) is rl.kernel.EigenRoute
         gap = np.max(np.abs(chol.eigenvalues - full.eigenvalues))
         assert gap <= op.size * np.finfo(float).eps * full.eigenvalues[0]
         # the n - r structural zeros are sorted in as on the QR route
@@ -512,7 +513,7 @@ class TestWideCholeskyRoute:
         rank = rl.spectral_data(op).numerical_rank
         assert rank == rl.spectral_data(qr).numerical_rank == op.grid_T.size
         assert rl.check_injectivity(op).injective
-        assert "dense_eigh" not in vars(op)
+        assert "eigenpairs" not in vars(op.weighted_eigh)
 
     def test_solves_agree_with_qr_route(self, routes):
         op, qr = routes
@@ -535,15 +536,16 @@ class TestWideCholeskyRoute:
         with pytest.raises(rl.RangeViolationError) as err:
             rl.kernel._solve_columns(op, rhs, 1e-12, 1e-6)
         assert err.value.residual == residuals[4]
-        assert "dense_eigh" not in vars(op)
+        assert "eigenpairs" not in vars(op.weighted_eigh)
 
     def test_dropping_cutoff_reads_the_qr_route(self, routes):
         op, qr = routes
         spec, spec_qr = rl.spectral_data(op, 1e-3), rl.spectral_data(qr, 1e-3)
         assert spec.numerical_rank == spec_qr.numerical_rank < op.grid_T.size
-        for name in ("eigenvalues", "eigenvectors", "cutoff", "numerical_rank", "L", "F"):
+        for name in ("eigenvalues", "cutoff", "numerical_rank"):
             np.testing.assert_array_equal(getattr(spec, name), getattr(spec_qr, name))
-        assert spec.L is None and spec.F is None
+        np.testing.assert_array_equal(spec.route.eigenvectors, spec_qr.route.eigenvectors)
+        assert spec.route is op.weighted_eigh.eigenpairs
         rng = np.random.default_rng(6)
         rhs = random_samples(rng, op.size, 3, np.iscomplexobj(op.feature.matrix))
         (x, residuals), (x_qr, residuals_qr) = (
@@ -555,7 +557,7 @@ class TestWideCholeskyRoute:
             rl.kernel._kept_diagonal(op, 1e-3), rl.kernel._kept_diagonal(qr, 1e-3)
         )
         # the full-rank cutoff still solves through the factor
-        assert rl.spectral_data(op).L is op.weighted_eigh.L
+        assert rl.spectral_data(op).route is op.weighted_eigh
 
     def test_inverts_on_the_t_side(self, routes):
         op, qr = routes
@@ -627,10 +629,11 @@ class TestWideRankCertificate:
         assert len(eigvalsh_calls) == (0 if certified else 1)
         spec = rl.spectral_data(op, self.CUTOFF)
         if rank == 600:
-            assert spec.L is op.weighted_eigh.L and spec.F is op.weighted_eigh.F
+            assert spec.route is op.weighted_eigh
         else:
             # a dropped eigenvalue reads the thin QR and small eigh
-            assert spec.L is None and spec.eigenvectors.shape == (1200, 600)
+            assert spec.route is op.weighted_eigh.eigenpairs
+            assert spec.route.eigenvectors.shape == (1200, 600)
         assert len(eigvalsh_calls) == (0 if certified else 1)
         # eigenvalues read after the certificate are those read first, bit for bit,
         # with the 600 structural zeros sorted in
