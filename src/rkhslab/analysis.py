@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotInjectiveError
 from .grid import DiscreteFunction
-from .kernel import DEFAULT_CUTOFF_REL, KernelMatrix
+from .kernel import DEFAULT_CUTOFF_REL, KernelMatrix, _row_slices
 from .transform import InducedKernel, check_injectivity, verify_identities
 
 DEFAULT_TOL_DIAG = 1e-8
@@ -55,16 +55,23 @@ def check_weighted_l2(K: KernelMatrix, tol_diag: float = DEFAULT_TOL_DIAG) -> We
     ``gram @ diag(w)`` stays below ``tol_diag`` and every diagonal entry
     clears the positivity floor ``1e-12 * max(diagonal)``.
     """
-    B = K.gram * K.grid.weights[None, :]
-    diag = np.real(np.diag(B)).copy()
-    total = float(np.linalg.norm(B))
+    gram, w = K.gram, K.grid.weights
+    # diag(gram W); the Frobenius masses of gram W are summed a block of rows at a time
+    diag = np.real(np.diag(gram)) * w
+    total_norms, offdiag_norms = [], []
+    for rows in _row_slices(K.size):
+        B = gram[rows] * w[None, :]
+        total_norms.append(np.linalg.norm(B))
+        np.fill_diagonal(B[:, rows], 0)
+        offdiag_norms.append(np.linalg.norm(B))
+        # released before the next block is formed
+        del B
+    total = float(np.linalg.norm(total_norms))
     if total == 0.0:
         return WeightedL2Verdict(
             is_weighted_l2=False, weight_v=None, weight_w=None, offdiag_ratio=0.0
         )
-    # B is a temporary: its off-diagonal part is B with the diagonal zeroed
-    np.fill_diagonal(B, 0)
-    ratio = float(np.linalg.norm(B) / total)
+    ratio = float(np.linalg.norm(offdiag_norms) / total)
     v_max = float(diag.max())
     positive = v_max > 0 and float(diag.min()) >= 1e-12 * v_max
     if ratio <= tol_diag and positive:

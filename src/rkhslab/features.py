@@ -21,8 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .grid import Grid, evaluate
-from .kernel import builtin_kernel
-from .transform import FeatureMap, InducedKernel, _row_slices
+from .kernel import _row_slices, builtin_kernel
+from .transform import FeatureMap, InducedKernel
 
 #: the fields each family reads besides its name: numeric ``params`` keys, and
 #: ``weight`` for the one family that takes a target diagonal
@@ -145,13 +145,16 @@ def _orthonormal_diagonal_map(spec: FeatureFamily, grid_T: Grid, grid_E: Grid) -
     k = np.arange(M, dtype=float)[:, None]
     j = np.arange(N, dtype=float)[None, :]
     base = np.cos(math.pi * j * (k + 0.5) / M)
-    sm = np.sqrt(grid_T.weights)
-    q, r = np.linalg.qr(sm[:, None] * base)
+    sm = np.sqrt(grid_T.weights)[:, None]
+    # every scaling is elementwise and in place: no M x N product is formed anew
+    base *= sm
+    q, r = np.linalg.qr(base)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
-    phi = (q * signs[None, :]) / sm[:, None]
-    H = phi * np.sqrt(v / grid_E.weights)[None, :]
-    return FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H)
+    q *= signs
+    q /= sm
+    q *= np.sqrt(v / grid_E.weights)
+    return FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=q)
 
 
 def _diagonal_weight(spec: FeatureFamily, grid_E: Grid) -> np.ndarray:
@@ -194,7 +197,7 @@ def closed_form_discrepancy(spec: FeatureFamily, op: InducedKernel) -> float | N
     """Max absolute gap between the induced gram and the closed form on grid E.
 
     The closed form is evaluated a block of rows at a time, in the blocks of
-    ``verify_identities`` (``transform._row_slices``).
+    ``verify_identities`` (``kernel._row_slices``).
     """
     kfun = closed_form_kernel(spec, op.grid_T)
     if kfun is None:

@@ -74,17 +74,27 @@ def as_samples(a) -> np.ndarray:
 def evaluate(fn: Callable, *args) -> np.ndarray:
     """``fn`` at every entry of the broadcast ``args``, as an array of that shape.
 
-    A vectorized call is used when it returns the broadcast shape; otherwise
-    ``fn`` is called once per entry on scalars, in row-major order.
+    A vectorized call is used when it returns the broadcast shape
+    (``_evaluate_vectorized``); otherwise ``fn`` is called once per entry on
+    scalars, in row-major order (``_evaluate_per_entry``).
     """
-    arrays = np.broadcast_arrays(*args)
-    shape = arrays[0].shape
+    values = _evaluate_vectorized(fn, *args)
+    return _evaluate_per_entry(fn, *args) if values is None else values
+
+
+def _evaluate_vectorized(fn: Callable, *args) -> np.ndarray | None:
+    """``fn(*args)`` as an array, or None when it raises or does not return the broadcast shape."""
     try:
         values = np.asarray(fn(*args))
-        if values.shape == shape:
-            return values
     except (TypeError, ValueError):
-        pass
+        return None
+    return values if values.shape == np.broadcast_shapes(*(np.shape(a) for a in args)) else None
+
+
+def _evaluate_per_entry(fn: Callable, *args) -> np.ndarray:
+    """``fn`` called once per entry of the broadcast ``args``, on scalars, in row-major order."""
+    arrays = np.broadcast_arrays(*args)
+    shape = arrays[0].shape
     values = np.array([fn(*xs) for xs in zip(*(a.flat for a in arrays))])
     return values.reshape(shape + values.shape[1:])
 

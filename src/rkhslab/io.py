@@ -92,7 +92,7 @@ def load_kernel_csv(path, grid: Grid, mode: str = "complex") -> KernelMatrix:
         raise GridMismatchError(
             f"{path} holds a {gram.shape} matrix, grid needs {grid.size}x{grid.size}"
         )
-    # the parsed array is the reader's own: an exactly Hermitian one is kept, not copied
+    # the parsed array is the reader's own: it becomes the gram, or its Hermitian part is written over it
     return KernelMatrix(grid, *_hermitian_gram(gram, grid, owned=True))
 
 

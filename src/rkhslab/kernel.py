@@ -73,9 +73,17 @@ n x n array of its own.
   numerically positive definite, the route's name and eigenvalues become
   its eigenpairs', there and then.
 
-So ``verify`` and ``invert`` on the ``cholesky`` route hold at most three
-n x n arrays at once: ``gram``, the form or its factor, and the copy of the
-form that numpy's ``eigvalsh`` makes.
+A kernel that can evaluate its gram again (``assemble_kernel`` on a
+vectorized kernel function) releases it when ``weighted_eigh`` returns a
+``cholesky`` route: the route forms ``S`` anew by evaluating the gram and
+scaling it in place, and the next read of ``gram`` evaluates it again, the
+same bit for bit.  The low-rank error and the readers of the gram
+(``analysis.check_weighted_l2``) work a block of rows at a time, so none
+forms an n x n temporary.  So ``verify`` on the ``cholesky`` route holds at
+most two n x n arrays at once: the gram and ``S`` while ``S`` is formed,
+``S`` and the copy that numpy's ``eigvalsh`` makes, then the factor and the
+gram evaluated again.  A kernel that keeps its gram (a CSV or array kernel,
+a scalar kernel function, ``transform.InducedKernel``) adds it to each.
 """
 from __future__ import annotations
 
@@ -87,7 +95,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonHermitianKernelError, RangeViolationError
-from .grid import DiscreteFunction, Grid, as_samples, ensure_aligned, evaluate
+from .grid import (
+    DiscreteFunction,
+    Grid,
+    _evaluate_per_entry,
+    _evaluate_vectorized,
+    as_samples,
+    ensure_aligned,
+)
 
 #: relative Hermitian defect above which a kernel is rejected outright
 HERMITIAN_REJECT_REL = 1e-6
@@ -173,10 +188,11 @@ class CholeskyRoute:
     positive definite, ``eigenpairs`` answer; in the second case they also
     give the route's name and eigenvalues, and an ``eigvalsh`` run before is
     discarded.  Whenever ``A`` is needed after it was factored or released,
-    it is formed again with ``reform``, the expression
-    ``KernelMatrix.weighted_eigh`` used.  ``reform`` binds arrays only: a
-    reference to the kernel would make a cycle with the route the kernel
-    caches.
+    it is formed again with ``reform``, which ``KernelMatrix.weighted_eigh``
+    gives: from the gram it holds, or from the gram evaluated anew where the
+    kernel released its own.  ``reform`` binds arrays and the kernel's
+    evaluating callable only: a reference to the kernel would make a cycle
+    with the route the kernel caches.
     """
 
     #: the route's name while ``A`` is numerically positive definite
@@ -366,6 +382,17 @@ def _finite_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return product
 
 
+#: most rows per block of the n x n products formed a block of rows, or columns, at a time
+ROW_BLOCK = 512
+
+
+def _row_slices(n_rows: int) -> list[slice]:
+    """Consecutive slices of at most ``ROW_BLOCK`` rows, of near-equal sizes, covering ``n_rows``."""
+    count = -(-n_rows // ROW_BLOCK)
+    edges = [k * n_rows // count for k in range(count + 1)]
+    return [slice(r0, r1) for r0, r1 in zip(edges[:-1], edges[1:])]
+
+
 #: side of the tiles ``_hermitian_part`` and ``_is_hermitian`` pair up
 HERMITIAN_TILE = 128
 
@@ -404,11 +431,15 @@ def _is_hermitian(A: np.ndarray) -> bool:
                for rows, cols in _tile_pairs(A.shape[0]))
 
 
-def _weighted_form(gram: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``S = sqrt(W) gram sqrt(W)``, exactly Hermitian, as a new array."""
+def _weighted_form(gram: np.ndarray, weights: np.ndarray, owned: bool = False) -> np.ndarray:
+    """``S = sqrt(W) gram sqrt(W)``, exactly Hermitian: a new array, or written over ``gram`` if ``owned``."""
     sw = np.sqrt(weights)
     # bit for bit ``sw[:, None] * gram * sw[None, :]``, with one temporary fewer
-    S = sw[:, None] * gram
+    if owned:
+        gram *= sw[:, None]
+        S = gram
+    else:
+        S = sw[:, None] * gram
     S *= sw[None, :]
     return _hermitian_part(S)
 
@@ -538,12 +569,18 @@ def _low_rank_eigh(S: np.ndarray) -> EigenRoute | None:
     L = _pivoted_cholesky(S, n_dim // 8)
     if L is None:
         return None
-    gap = L @ L.conj().T
-    gap -= S
-    error = float(np.linalg.norm(gap))
-    del gap
+    # ||S - L Lᴴ||_F, summed a block of rows at a time
+    Lh = L.conj().T
+    gap_norms = []
+    for rows in _row_slices(n_dim):
+        gap = L[rows] @ Lh
+        gap -= S[rows]
+        gap_norms.append(np.linalg.norm(gap))
+        # released before the next block is formed
+        del gap
+    error = float(np.linalg.norm(gap_norms))
     # the largest column norm of Lᴴ L bounds lambda_max(L Lᴴ) from below
-    lam_floor = float(np.max(np.linalg.norm(L.conj().T @ L, axis=0)))
+    lam_floor = float(np.max(np.linalg.norm(Lh @ L, axis=0)))
     if not error <= n_dim * np.finfo(float).eps * lam_floor:
         return None
     return _factor_eigh(L, "low_rank", error)
@@ -563,11 +600,29 @@ class KernelMatrix:
     ``gram[i, j]`` holds ``K(p_i, p_j)``.  The matrix is symmetrized before
     it is stored, and ``hermitian_gram`` holds it with the
     pre-symmetrization defect.  Kernels compare and hash by identity.
+
+    A kernel given ``evaluate_gram``, a callable that returns
+    ``(gram, hermitian_defect)`` anew (``assemble_kernel`` gives one for a
+    vectorized kernel function), releases its gram while its ``cholesky``
+    route holds ``S`` (``weighted_eigh``).  The next read of ``gram`` or
+    ``hermitian_defect`` evaluates both again, the same bit for bit.  Any
+    other kernel keeps its gram.
     """
 
-    def __init__(self, grid: Grid, gram: np.ndarray, hermitian_defect: float):
+    #: evaluates ``(gram, hermitian_defect)`` anew; None where the gram is kept
+    _evaluate_gram: Callable[[], tuple[np.ndarray, float]] | None = None
+
+    def __init__(self, grid: Grid, gram: np.ndarray, hermitian_defect: float,
+                 evaluate_gram: Callable[[], tuple[np.ndarray, float]] | None = None):
         self.grid = grid
         self.hermitian_gram = gram, hermitian_defect
+        if evaluate_gram is not None:
+            self._evaluate_gram = evaluate_gram
+
+    @cached_property
+    def hermitian_gram(self) -> tuple[np.ndarray, float]:
+        """``(gram, hermitian_defect)``: held from the start, and evaluated anew once released."""
+        return self._evaluate_gram()
 
     @property
     def gram(self) -> np.ndarray:
@@ -596,16 +651,25 @@ class KernelMatrix:
         apply from ``LOW_RANK_MIN_SIZE`` on the side decomposed: r for a
         wide factor, whose thin QR runs otherwise, and n for any other kernel.
         A Cholesky route holds ``S`` (or ``G``) unfactored until its first
-        read (``CholeskyRoute``).
+        read (``CholeskyRoute``).  A kernel that can evaluate its gram again
+        releases it when it returns a ``cholesky`` route, whose ``reform``
+        then evaluates the gram and forms ``S`` over it.
         """
         factor = self.exact_factor()
         if factor is not None:
             return _factor_eigh(factor, "wide") if factor.shape[1] < LOW_RANK_MIN_SIZE else WideRoute(factor)
-        reform = partial(_weighted_form, self.gram, self.grid.weights)
-        S = reform()
+        weights, evaluate_gram = self.grid.weights, self._evaluate_gram
+        S = _weighted_form(self.gram, weights)
         if self.size < LOW_RANK_MIN_SIZE:
             return _dense_eigh(S)
-        return _low_rank_eigh(S) or CholeskyRoute(S, reform)
+        low_rank = _low_rank_eigh(S)
+        if low_rank is not None:
+            return low_rank
+        if evaluate_gram is None:
+            return CholeskyRoute(S, partial(_weighted_form, self.gram, weights))
+        del self.hermitian_gram
+        # binds the callable and the weights alone, not the kernel
+        return CholeskyRoute(S, lambda: _weighted_form(evaluate_gram()[0], weights, owned=True))
 
 
 class SpectralData:
@@ -651,32 +715,43 @@ class SolveResult:
 def _hermitian_gram(gram: np.ndarray, grid: Grid, owned: bool = False) -> tuple[np.ndarray, float]:
     """Validate a raw gram; return its Hermitian part and its defect.
 
-    The Hermitian part is a new array unless ``owned`` says no one else
-    holds ``gram`` (the caller formed or parsed it) and an exactly Hermitian
-    one may be kept.
+    ``owned`` says no one else holds ``gram`` (the caller formed or parsed
+    it): an exactly Hermitian one is then kept, and the Hermitian part of
+    any other is written over it.  Otherwise the Hermitian part is one copy.
     """
     gram = as_samples(gram)
     if gram.shape != (grid.size, grid.size):
         raise ValueError(f"gram must be {grid.size}x{grid.size}, got {gram.shape}")
     if not np.all(np.isfinite(gram)):
         raise ValueError("kernel produced non-finite values")
-    if _is_hermitian(gram):
+    sym = gram if owned else gram.copy()
+    if _is_hermitian(sym):
         defect = 0.0
-        sym = gram if owned else gram.copy()
     else:
-        adjoint = gram.conj().T
-        # a difference that overflows exceeds any admissible defect
-        with np.errstate(over="ignore"):
-            defect = float(np.max(np.abs(gram - adjoint)))
-        scale = float(np.max(np.abs(gram)))
+        defect, scale = _defect_and_scale(sym)
         if scale > 0 and defect > HERMITIAN_REJECT_REL * scale:
             raise NonHermitianKernelError(defect, scale)
-        # halving each side first cannot overflow, and is exact in normal range
-        sym = 0.5 * gram + 0.5 * adjoint
+        _hermitian_part(sym)
     if np.iscomplexobj(sym) and not np.any(sym.imag):
         # a copy, so the kernel does not pin the complex buffer behind a strided view
         sym = np.ascontiguousarray(sym.real)
     return sym, defect
+
+
+def _defect_and_scale(A: np.ndarray) -> tuple[float, float]:
+    """``max |A - Aᴴ|`` and ``max |A|`` of the square ``A``, taken tile pair by tile pair.
+
+    A maximum is exact in any order, so both equal the whole-array ones,
+    with no n x n temporary.
+    """
+    defect = scale = 0.0
+    # a difference that overflows exceeds any admissible defect
+    with np.errstate(over="ignore"):
+        for rows, cols in _tile_pairs(A.shape[0]):
+            upper, lower = A[rows, cols], A[cols, rows]
+            defect = max(defect, float(np.max(np.abs(upper - lower.conj().T))))
+            scale = max(scale, float(np.max(np.abs(upper))), float(np.max(np.abs(lower))))
+    return defect, scale
 
 
 def kernel_from_gram(gram: np.ndarray, grid: Grid) -> KernelMatrix:
@@ -684,8 +759,23 @@ def kernel_from_gram(gram: np.ndarray, grid: Grid) -> KernelMatrix:
 
     An exactly Hermitian input is stored as a copy with defect 0, and a
     complex one with zero imaginary parts as a float64 array of its own.
+    The kernel keeps its gram: nothing could evaluate it again.
     """
     return KernelMatrix(grid, *_hermitian_gram(gram, grid))
+
+
+def _vectorized_gram(kfun: Callable, grid: Grid) -> tuple[np.ndarray, float] | None:
+    """``_hermitian_gram`` of one vectorized call of ``kfun`` on the grid's point pairs.
+
+    None when ``kfun`` is not vectorized.  An array of its own that the call
+    returns is taken as owned: it becomes the gram, or its Hermitian part is
+    written over it.
+    """
+    p = grid.points
+    values = _evaluate_vectorized(kfun, p[:, None], p[None, :])
+    if values is None:
+        return None
+    return _hermitian_gram(values, grid, owned=values.flags.owndata and values.flags.writeable)
 
 
 def assemble_kernel(kfun: Callable, grid: Grid) -> KernelMatrix:
@@ -693,10 +783,20 @@ def assemble_kernel(kfun: Callable, grid: Grid) -> KernelMatrix:
 
     ``kfun`` may be vectorized over arrays or a plain scalar function.  A
     Hermitian defect above ``HERMITIAN_REJECT_REL`` relative to the largest
-    entry rejects the kernel as non-self-adjoint.
+    entry rejects the kernel as non-self-adjoint.  A vectorized ``kfun``
+    must return a new array on each call: the kernel owns the array it
+    returns, with no copy, and keeps the callable, so it can release its
+    gram and evaluate it again, the same bit for bit (``KernelMatrix``).  A
+    scalar function is called once per entry, and that kernel keeps its
+    gram: evaluating it again would take n² Python calls.
     """
+    evaluate_gram = partial(_vectorized_gram, kfun, grid)
+    hermitian_gram = evaluate_gram()
+    if hermitian_gram is not None:
+        return KernelMatrix(grid, *hermitian_gram, evaluate_gram)
     p = grid.points
-    return kernel_from_gram(evaluate(kfun, p[:, None], p[None, :]), grid)
+    return KernelMatrix(grid, *_hermitian_gram(_evaluate_per_entry(kfun, p[:, None], p[None, :]),
+                                               grid, owned=True))
 
 
 def discrete_delta_kernel(grid: Grid) -> KernelMatrix:
@@ -705,7 +805,7 @@ def discrete_delta_kernel(grid: Grid) -> KernelMatrix:
     This is the discrete counterpart of the delta kernel, the unique matrix
     with ``sum_j gram[i, j] w_j f_j = f_i``.
     """
-    return kernel_from_gram(np.diag(1.0 / grid.weights), grid)
+    return KernelMatrix(grid, *_hermitian_gram(np.diag(1.0 / grid.weights), grid, owned=True))
 
 
 #: the parameters each built-in kernel takes

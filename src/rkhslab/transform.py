@@ -57,6 +57,7 @@ from .kernel import (
     KernelMatrix,
     WideRoute,
     _hermitian_gram,
+    _row_slices,
     _solve_columns,
     condition_number,
     solve_kernel_system,
@@ -223,17 +224,6 @@ def _column_norms(weights: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(weights[:, None] * np.abs(mat) ** 2, axis=0))
 
 
-#: most rows per block of the n x n products ``verify_identities`` measures
-ROW_BLOCK = 512
-
-
-def _row_slices(n_rows: int) -> list[slice]:
-    """Consecutive slices of at most ``ROW_BLOCK`` rows, of near-equal sizes, covering ``n_rows``."""
-    count = -(-n_rows // ROW_BLOCK)
-    edges = [k * n_rows // count for k in range(count + 1)]
-    return [slice(r0, r1) for r0, r1 in zip(edges[:-1], edges[1:])]
-
-
 def _forward_rows(op: InducedKernel, rows: slice) -> np.ndarray:
     """Rows ``rows`` of the forward matrix ``Hᴴ diag(m)``, as a transposed view."""
     return (op.feature.matrix[:, rows] * op.grid_T.weights[:, None]).conj().T
@@ -248,14 +238,13 @@ def _factorization_residual(op: InducedKernel) -> float:
     """``||K W - (Hᴴ diag m)(H diag w)||_F / ||K W||_F``, summed over tiles of both products.
 
     ``K W = gram diag(w)`` is the induced operator.  Neither n x n product is
-    formed whole: the adjoint is formed in two halves of its columns, and
-    each tile of the gap is a block of forward rows (``_row_slices``) times
-    one half, less the same tile of ``K W``.
+    formed whole: the adjoint is formed a group of at most ``ROW_BLOCK``
+    columns at a time, and each tile of the gap is a block of forward rows
+    times one group, less the same tile of ``K W`` (``_row_slices`` both).
     """
     H, w = op.feature.matrix, op.grid_E.weights
-    half = op.size // 2
     lhs_norms, gap_norms = [], []
-    for cols in (slice(0, half), slice(half, op.size)):
+    for cols in _row_slices(op.size):
         adjoint = H[:, cols] * w[None, cols]
         for rows in _row_slices(op.size):
             gap = _forward_rows(op, rows) @ adjoint
@@ -263,6 +252,8 @@ def _factorization_residual(op: InducedKernel) -> float:
             lhs_norms.append(np.linalg.norm(lhs))
             gap -= lhs
             gap_norms.append(np.linalg.norm(gap))
+            # released before the next tile is formed
+            del gap, lhs
     lhs_norm = float(np.linalg.norm(lhs_norms))
     return float(np.linalg.norm(gap_norms) / lhs_norm) if lhs_norm > 0 else 0.0
 

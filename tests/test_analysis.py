@@ -50,6 +50,26 @@ class TestCheckWeightedL2:
         verdict = rl.check_weighted_l2(K)
         assert not verdict.is_weighted_l2
 
+    @pytest.mark.parametrize("n", [30, 1100])
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_row_blocks_agree_with_the_whole_array(self, n, complex_mode):
+        # 1100 rows make three blocks; the masses are summed in another order
+        grid = rl.make_uniform_grid(0, 1, n, "trapezoid")
+        phase = 1j if complex_mode else 0.0
+        K = rl.assemble_kernel(lambda p, q: np.exp(-((p - q) ** 2) / 1e-3 + phase * (p - q)), grid)
+        B = K.gram * grid.weights[None, :]
+        total = np.linalg.norm(B)
+        np.fill_diagonal(B, 0)
+        verdict = rl.check_weighted_l2(K)
+        # a sum of n² squares is exact up to (n² - 1) eps in any order
+        assert verdict.offdiag_ratio == pytest.approx(np.linalg.norm(B) / total,
+                                                      rel=n * n * np.finfo(float).eps)
+
+    def test_weight_is_the_diagonal_of_the_whole_product(self, weighted_orthonormal_op):
+        _, op = weighted_orthonormal_op
+        expected = np.real(np.diag(op.gram * op.grid.weights[None, :]))
+        np.testing.assert_array_equal(rl.check_weighted_l2(op).weight_v.values, expected)
+
 
 class TestCheckUnitaryInversion:
     def test_orthonormal_family_both_adjoints_work(self, orthonormal_op):

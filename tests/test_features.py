@@ -115,6 +115,23 @@ class TestOrthonormalDiagonal:
         b = rl.make_feature_map(spec, grid, grid).matrix
         np.testing.assert_array_equal(a, b)
 
+    def test_in_place_scaling_is_bit_for_bit_the_products(self):
+        # the whole-array products the in-place steps replace
+        grid_T = rl.make_uniform_grid(0, 1, 90, "midpoint")
+        grid_E = rl.make_uniform_grid(0, 1, 70, "trapezoid")
+        weight = lambda p: 1.0 + 2.0 * p
+        M, N = grid_T.size, grid_E.size
+        k = np.arange(M, dtype=float)[:, None]
+        j = np.arange(N, dtype=float)[None, :]
+        sm = np.sqrt(grid_T.weights)
+        q, r = np.linalg.qr(sm[:, None] * np.cos(math.pi * j * (k + 0.5) / M))
+        signs = np.sign(np.diag(r))
+        signs[signs == 0] = 1.0
+        phi = (q * signs[None, :]) / sm[:, None]
+        expected = phi * np.sqrt(weight(grid_E.points) / grid_E.weights)[None, :]
+        spec = rl.FeatureFamily("orthonormal_diagonal", weight=weight)
+        np.testing.assert_array_equal(rl.make_feature_map(spec, grid_T, grid_E).matrix, expected)
+
 
 class TestValidation:
     def test_unknown_family(self):

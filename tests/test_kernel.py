@@ -1,5 +1,8 @@
+import gc
 import math
 import tracemalloc
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 import rkhslab as rl
 from rkhslab.cli import run_verify
 from rkhslab.config import parse_config
+from rkhslab.io import load_kernel_csv, save_kernel_csv
 from rkhslab.report import without_timings
 from conftest import certificate_spectrum, kernel_with_spectrum, random_range_function
 
@@ -326,6 +330,15 @@ class TestLowRankRoute:
         assert -low.certified_error <= full.eigenvalues[-1] + slack
         assert rl.validate_psd(K, 1e-10).min_eigenvalue == low.eigenvalues[-1]
 
+    def test_certified_error_is_the_whole_array_norm(self, routes):
+        # summed over row blocks; a sum of n² squares is exact up to (n² - 1) eps in any order
+        K, _ = routes
+        S = rl.kernel._weighted_form(K.gram, K.grid.weights)
+        L = rl.kernel._pivoted_cholesky(S, K.size // 8)
+        whole = np.linalg.norm(L @ L.conj().T - S)
+        assert K.weighted_eigh.certified_error == pytest.approx(
+            whole, rel=K.size ** 2 * np.finfo(float).eps)
+
     def test_solves_agree_with_dense_route(self, routes):
         K, dense = routes
         rng = np.random.default_rng(5)
@@ -644,6 +657,146 @@ class TestFactorMemory:
         K, eig = eig
         assert self.allocated_peak(lambda: rl.spectral_data(K)) < self.N * self.N * 8
         assert eig.decomposition == "cholesky" and eig.shift > 0.0
+
+
+class TestReaderMemory:
+    """Readers of a gram allocate less than one n x n array beyond their result."""
+
+    N = 600
+    ARRAY = N * N * 8
+    allocated_peak = staticmethod(TestFactorMemory.allocated_peak)
+
+    @pytest.fixture
+    def grid(self):
+        return rl.make_uniform_grid(0, 1, self.N, "midpoint")
+
+    def test_low_rank_error(self, grid):
+        K = rl.assemble_kernel(rl.builtin_kernel("gaussian", lengthscale=0.3), grid)
+        S = rl.kernel._weighted_form(K.gram, grid.weights)
+        routes = []
+        assert self.allocated_peak(lambda: routes.append(rl.kernel._low_rank_eigh(S))) < self.ARRAY
+        assert routes[0].decomposition == "low_rank"
+
+    def test_check_weighted_l2(self, grid):
+        K = rl.assemble_kernel(rl.builtin_kernel("brownian"), grid)
+        assert self.allocated_peak(lambda: rl.check_weighted_l2(K)) < self.ARRAY
+
+    def test_assemble_kernel(self, grid):
+        kernels = []
+        peak = self.allocated_peak(
+            lambda: kernels.append(rl.assemble_kernel(rl.builtin_kernel("brownian"), grid)))
+        assert peak - kernels[0].gram.nbytes < self.ARRAY
+
+
+def _offset_brownian(p, q):
+    """``min(p, q)`` with a small antisymmetric part, so its Hermitian defect is not 0."""
+    return np.minimum(p, q) + 1e-12 * (p - q)
+
+
+class TestReleasedGram:
+    """An assembled kernel on the ``cholesky`` route holds no gram while the route holds ``S``."""
+
+    N = 600
+
+    @pytest.fixture
+    def grid(self):
+        return rl.make_uniform_grid(0, 1, self.N, "midpoint")
+
+    @pytest.mark.parametrize("kfun", [rl.builtin_kernel("brownian"), _offset_brownian],
+                             ids=["brownian", "defect"])
+    def test_next_read_evaluates_the_same_gram(self, grid, kfun):
+        K = rl.assemble_kernel(kfun, grid)
+        gram, defect = K.gram.copy(), K.hermitian_defect
+        assert (defect == 0.0) is (kfun is not _offset_brownian)
+        kept = rl.kernel_from_gram(gram, grid)
+        assert K.weighted_eigh.decomposition == "cholesky"
+        assert "hermitian_gram" not in vars(K)
+        # the route forms S again through its callable, never through the kernel
+        assert rl.spectral_data(K, 0.5).route is K.weighted_eigh.eigenpairs
+        assert "hermitian_gram" not in vars(K)
+        np.testing.assert_array_equal(rl.spectral_data(K, 0.5).eigenvalues,
+                                      rl.spectral_data(kept, 0.5).eigenvalues)
+        np.testing.assert_array_equal(K.weighted_eigh.eigenvalues, kept.weighted_eigh.eigenvalues)
+        assert K.gram.dtype == gram.dtype and np.array_equal(K.gram, gram)
+        assert K.hermitian_defect == defect
+
+    def test_refactor_after_release(self, grid):
+        # the certificate's shifted factor is replaced by a factor of S formed anew
+        K = rl.assemble_kernel(rl.builtin_kernel("brownian"), grid)
+        kept = rl.kernel_from_gram(K.gram, grid)
+        f = rl.sample_function(grid, np.sin)
+        solved = [rl.solve_kernel_system(k, f).solution.values for k in (K, kept)]
+        assert K.weighted_eigh.shift == 0.0 and "hermitian_gram" not in vars(K)
+        np.testing.assert_array_equal(*solved)
+
+    def test_kept_by_kernels_that_cannot_evaluate_again(self, grid, tmp_path):
+        scalar = rl.assemble_kernel(lambda p, q: min(p, q), grid)
+        save_kernel_csv(scalar, tmp_path / "k.csv", mode="real")
+        kernels = [scalar, load_kernel_csv(tmp_path / "k.csv", grid, mode="real"),
+                   rl.kernel_from_gram(scalar.gram, grid)]
+        for K in kernels:
+            gram = K.gram
+            assert K.weighted_eigh.decomposition == "cholesky"
+            assert K.gram is gram
+
+    def test_freed_by_reference_counting(self, grid):
+        K = rl.assemble_kernel(rl.builtin_kernel("brownian"), grid)
+        rl.solve_kernel_system(K, rl.sample_function(grid, np.sin))
+        rl.spectral_data(K, 0.5)
+        K.gram
+        refs = [weakref.ref(K), weakref.ref(K.weighted_eigh)]
+        gc.disable()
+        try:
+            del K
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+
+def _old_hermitian_part(gram):
+    """The Hermitian part and defect as whole-array expressions, the reference for ``_hermitian_gram``."""
+    adjoint = gram.conj().T
+    with np.errstate(over="ignore"):
+        defect = float(np.max(np.abs(gram - adjoint)))
+    return 0.5 * gram + 0.5 * adjoint, defect, float(np.max(np.abs(gram)))
+
+
+def _non_hermitian_gram(n, dtype):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    if dtype is complex:
+        A = A + 1j * rng.standard_normal((n, n))
+    return A @ A.conj().T + 1e-9 * A
+
+
+@pytest.mark.parametrize("make", [
+    partial(_non_hermitian_gram, 3, float), partial(_non_hermitian_gram, 300, float),
+    partial(_non_hermitian_gram, 3, complex), partial(_non_hermitian_gram, 300, complex),
+    # the overflow range: halving first keeps the sum finite
+    lambda: np.full((3, 3), 1.5e308) * np.array([[1, 1 + 1e-9, 1], [1, 1, 1], [1, 1, 1]]),
+], ids=["real-3", "real-300", "complex-3", "complex-300", "overflow"])
+@pytest.mark.parametrize("owned", [False, True])
+def test_tiled_hermitian_gram_is_bit_for_bit_the_whole_expression(make, owned):
+    gram = make()
+    grid = rl.make_uniform_grid(0, 1, gram.shape[0], "midpoint")
+    expected, defect, _ = _old_hermitian_part(gram)
+    given = gram.copy()
+    sym, got_defect = rl.kernel._hermitian_gram(given, grid, owned=owned)
+    assert got_defect == defect > 0
+    assert sym.dtype == expected.dtype and np.array_equal(sym, expected)
+    assert np.shares_memory(sym, given) is owned
+    if not owned:
+        assert np.array_equal(given, gram)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_rejected_gram_reports_the_whole_array_defect_and_scale(dtype):
+    gram = _non_hermitian_gram(300, dtype) + np.triu(np.ones((300, 300)), 1)
+    _, defect, scale = _old_hermitian_part(gram)
+    grid = rl.make_uniform_grid(0, 1, 300, "midpoint")
+    with pytest.raises(rl.NonHermitianKernelError) as info:
+        rl.kernel._hermitian_gram(gram, grid, owned=True)
+    assert (info.value.defect, info.value.scale) == (defect, scale)
 
 
 class TestComparison:
