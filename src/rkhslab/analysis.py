@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NotInjectiveError
 from .grid import DiscreteFunction
 from .kernel import DEFAULT_CUTOFF_REL, KernelMatrix, _row_slices
-from .transform import InducedKernel, check_injectivity, verify_identities
+from .transform import InducedKernel, verify_identities
 
 DEFAULT_TOL_DIAG = 1e-8
 
@@ -102,14 +102,16 @@ def check_unitary_inversion(
     are the worst relative T-grid L2 deviations over the trials drawn by
     ``verify_identities``: its ``plain_adjoint_error`` and ``roundtrip_error``.
 
-    Raises ``NotInjectiveError`` for rank-deficient transforms.
+    Raises ``NotInjectiveError`` for rank-deficient transforms.  The verdict
+    reads the gram, so it is taken before ``verify_identities`` decomposes
+    the kernel, which may release the gram, and the rank is read after.
     """
-    inj = check_injectivity(op, cutoff_rel)
-    if not inj.injective:
-        raise NotInjectiveError(inj.numerical_rank, op.grid_T.size)
+    verdict = check_weighted_l2(op, tol_diag)
     identities = verify_identities(op, cutoff_rel, trials, seed)
+    if not identities.injective:
+        raise NotInjectiveError(identities.numerical_rank, op.grid_T.size)
     return UnitaryInversionReport(
-        verdict_from_kernel=check_weighted_l2(op, tol_diag),
+        verdict_from_kernel=verdict,
         l2_adjoint_error=identities.plain_adjoint_error,
         rkhs_adjoint_error=identities.roundtrip_error,
         trials=trials,

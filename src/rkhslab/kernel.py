@@ -73,17 +73,24 @@ n x n array of its own.
   numerically positive definite, the route's name and eigenvalues become
   its eigenpairs', there and then.
 
-A kernel that can evaluate its gram again (``assemble_kernel`` on a
-vectorized kernel function) releases it when ``weighted_eigh`` returns a
-``cholesky`` route: the route forms ``S`` anew by evaluating the gram and
-scaling it in place, and the next read of ``gram`` evaluates it again, the
-same bit for bit.  The low-rank error and the readers of the gram
+A kernel that can form its gram again (``assemble_kernel`` on a vectorized
+kernel function, and ``transform.InducedKernel`` from its feature map)
+releases it when ``weighted_eigh`` returns a ``cholesky`` route, and keeps
+its diagonal: the route forms ``S`` anew by forming the gram and scaling it
+in place, and the next read of ``gram`` forms it again, the same bit for
+bit.  The low-rank error and the readers of the gram
 (``analysis.check_weighted_l2``) work a block of rows at a time, so none
-forms an n x n temporary.  So ``verify`` on the ``cholesky`` route holds at
-most two n x n arrays at once: the gram and ``S`` while ``S`` is formed,
-``S`` and the copy that numpy's ``eigvalsh`` makes, then the factor and the
-gram evaluated again.  A kernel that keeps its gram (a CSV or array kernel,
-a scalar kernel function, ``transform.InducedKernel``) adds it to each.
+forms an n x n temporary.  A reader that needs only products with the gram
+and its diagonal (``KernelMatrix.gram_product`` and ``gram_diagonal``:
+``apply_operator`` and the reproducing checks of ``rkhs``) forms nothing
+again on an induced kernel, which multiplies through its feature map once
+its gram is released.  So
+``verify`` on the ``cholesky`` route holds at most two n x n arrays of the
+kernel at once: the gram and ``S`` while ``S`` is formed, ``S`` and the copy
+that numpy's ``eigvalsh`` makes, then the factor, with an assembled gram
+evaluated again for its products.  A kernel that keeps its gram (a CSV or
+array kernel, a scalar kernel function) adds it to each, and an induced
+kernel adds its feature map.
 """
 from __future__ import annotations
 
@@ -603,10 +610,11 @@ class KernelMatrix:
 
     A kernel given ``evaluate_gram``, a callable that returns
     ``(gram, hermitian_defect)`` anew (``assemble_kernel`` gives one for a
-    vectorized kernel function), releases its gram while its ``cholesky``
-    route holds ``S`` (``weighted_eigh``).  The next read of ``gram`` or
-    ``hermitian_defect`` evaluates both again, the same bit for bit.  Any
-    other kernel keeps its gram.
+    vectorized kernel function, and ``transform.InducedKernel`` has its
+    own), releases its gram while its ``cholesky`` route holds ``S``
+    (``weighted_eigh``), and keeps ``gram_diagonal``.  The next read of
+    ``gram`` or ``hermitian_defect`` evaluates both again, the same bit for
+    bit.  Any other kernel keeps its gram.
     """
 
     #: evaluates ``(gram, hermitian_defect)`` anew; None where the gram is kept
@@ -621,7 +629,10 @@ class KernelMatrix:
 
     @cached_property
     def hermitian_gram(self) -> tuple[np.ndarray, float]:
-        """``(gram, hermitian_defect)``: held from the start, and evaluated anew once released."""
+        """``(gram, hermitian_defect)``: held from the start, and evaluated anew once released.
+
+        An induced kernel forms it at the first read (``transform.InducedKernel``).
+        """
         return self._evaluate_gram()
 
     @property
@@ -631,6 +642,15 @@ class KernelMatrix:
     @property
     def hermitian_defect(self) -> float:
         return self.hermitian_gram[1]
+
+    @cached_property
+    def gram_diagonal(self) -> np.ndarray:
+        """``np.diag(gram)``, of the gram's dtype; kept where the gram is released."""
+        return np.diag(self.gram).copy()
+
+    def gram_product(self, x: np.ndarray) -> np.ndarray:
+        """``gram @ x`` for a vector or a block of columns ``x``."""
+        return self.gram @ x
 
     @property
     def size(self) -> int:
@@ -653,7 +673,8 @@ class KernelMatrix:
         A Cholesky route holds ``S`` (or ``G``) unfactored until its first
         read (``CholeskyRoute``).  A kernel that can evaluate its gram again
         releases it when it returns a ``cholesky`` route, whose ``reform``
-        then evaluates the gram and forms ``S`` over it.
+        then evaluates the gram and forms ``S`` over it; the gram's diagonal
+        is kept first.
         """
         factor = self.exact_factor()
         if factor is not None:
@@ -667,6 +688,8 @@ class KernelMatrix:
             return low_rank
         if evaluate_gram is None:
             return CholeskyRoute(S, partial(_weighted_form, self.gram, weights))
+        # kept, so the readers of the diagonal alone do not evaluate the gram again
+        self.gram_diagonal
         del self.hermitian_gram
         # binds the callable and the weights alone, not the kernel
         return CholeskyRoute(S, lambda: _weighted_form(evaluate_gram()[0], weights, owned=True))
@@ -908,9 +931,9 @@ def condition_number(K: KernelMatrix, cutoff_rel: float = DEFAULT_CUTOFF_REL) ->
 
 
 def apply_operator(K: KernelMatrix, f: DiscreteFunction) -> DiscreteFunction:
-    """Apply the discretized integral operator: ``gram @ (w * f)``."""
+    """Apply the discretized integral operator: ``gram @ (w * f)`` (``KernelMatrix.gram_product``)."""
     ensure_aligned(f, K.grid)
-    return DiscreteFunction(values=K.gram @ (K.grid.weights * f.values), grid=K.grid)
+    return DiscreteFunction(values=K.gram_product(K.grid.weights * f.values), grid=K.grid)
 
 
 #: rows per block of ``_cholesky_solve``

@@ -7,7 +7,10 @@ reproducing identity, the point-evaluation bound, and least-squares
 projections onto finite spans of kernel sections.  ``verify_reproducing``
 measures the first two over seeded random trials in one batched solve, and
 the equality of the bound at every kernel section from the cached
-decomposition, without a solve.
+decomposition, without a solve.  It and ``reproducing_residuals`` read the
+kernel through its products and its diagonal alone
+(``KernelMatrix.gram_product`` and ``gram_diagonal``), so an induced kernel
+whose gram was released forms none again.
 """
 from __future__ import annotations
 
@@ -138,7 +141,7 @@ def reproducing_residuals(space: RkhsSpace, f: DiscreteFunction) -> np.ndarray:
     pseudo-inverse solve plus one operator application covers the whole grid.
     """
     solved = solve_kernel_system(space.kernel, f, space.cutoff_rel, space.range_tol)
-    recon = space.kernel.gram @ (space.grid.weights * solved.solution.values)
+    recon = space.kernel.gram_product(space.grid.weights * solved.solution.values)
     return np.abs(recon - f.values) / (1.0 + np.abs(f.values))
 
 
@@ -166,22 +169,24 @@ def verify_reproducing(
     form from the cached eigenpairs, ``sum_{k < rank} lam_k |U[q, k]|^2 / w_q``,
     or, when the Cholesky route keeps every eigenvalue, ``(L Lᴴ)_qq / w_q``
     (``kernel._kept_diagonal``): O(n rank) work that equals, in exact
-    arithmetic, a pseudo-inverse solve of the n columns of ``gram``.  Raises
-    ``RangeViolationError`` with the residual of the first trial that has
-    more than ``range_tol`` of its mass outside the numerical range.
+    arithmetic, a pseudo-inverse solve of the n columns of ``gram``.  The
+    gram is read only through ``gram_product``, its diagonal and its dtype
+    (``gram_diagonal``).  Raises ``RangeViolationError`` with the residual
+    of the first trial that has more than ``range_tol`` of its mass outside
+    the numerical range.
     """
     weights = kernel.grid.weights[:, None]
-    complex_mode = np.iscomplexobj(kernel.gram)
+    complex_mode = np.iscomplexobj(kernel.gram_diagonal)
     rng = np.random.default_rng(seed)
     # in-range trial functions: images gram @ W @ raw of random columns, raw not kept
-    F = kernel.gram @ (weights * random_samples(rng, kernel.size, trials, complex_mode))
+    F = kernel.gram_product(weights * random_samples(rng, kernel.size, trials, complex_mode))
     X, _ = _solve_columns(kernel, F, cutoff_rel, range_tol)
     # reproducing: [f, K(., q)] = (gram W K^{-1} f)(q) at every q
-    recon = kernel.gram @ (weights * X)
+    recon = kernel.gram_product(weights * X)
     max_residual = float(np.max(np.abs(recon - F) / (1.0 + np.abs(F))))
     # point evaluation: |f(q)| <= ||f|| sqrt(K(q, q)) with ||f||^2 = (K^{-1} f, f)
     norm_f = np.sqrt(np.clip(np.sum(weights * X * np.conj(F), axis=0).real, 0.0, None))
-    kqq = np.real(np.diag(kernel.gram))
+    kqq = np.real(kernel.gram_diagonal)
     sqrt_diag = np.sqrt(np.clip(kqq, 0.0, None))
     rhs = sqrt_diag[:, None] * norm_f[None, :]
     max_excess = float(np.max(_excess(np.abs(F), rhs)))

@@ -16,9 +16,14 @@ matvecs, ``Hᴴ (m∘F)`` and ``H (w∘g)``; only ``verify_identities``, which
 needs their product, forms the two matrices, in blocks and never whole.
 The gram is formed on first
 read, with its Hermitian defect, as ``Cᴴ C`` with ``C = diag(√m) H``: one
-syrk for a real map, exactly symmetric.  ``verify`` and ``analyze`` read it
-once, a square or tall ``invert`` once for its decomposition, and a wide
-``invert`` never.
+syrk for a real map, exactly symmetric.  A product with a released gram
+is ``Cᴴ (C x)``, through the feature map (``InducedKernel.gram_product``).
+``verify`` and ``analyze`` form the gram once, a square or tall ``invert``
+once for its decomposition, and a wide ``invert`` never.  On the
+``cholesky`` route the kernel releases its gram while the route holds
+``S``, as an assembled kernel does (``kernel`` module docstring), so
+``verify`` reads the gram before it decomposes: the factorization residual
+runs first in ``verify_identities``.
 
 With ``B = diag(m)^{1/2} H diag(w)^{1/2}`` (|T| x |E|), the weighted induced
 form is ``S = Bᴴ B``.  The kernel only supplies what it knows: the gram and,
@@ -43,7 +48,7 @@ way to the unshifted one (``invert``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -83,6 +88,16 @@ class FeatureMap:
             raise ValueError("feature matrix entries must be finite")
 
 
+def _induced_gram(feature: FeatureMap) -> tuple[np.ndarray, float]:
+    """``(gram, hermitian_defect)`` of ``Cᴴ C`` with ``C = diag(√m) H``, formed anew."""
+    C = np.sqrt(feature.grid_T.weights)[:, None] * feature.matrix
+    # a real C makes this a syrk, exactly symmetric; an overflow is
+    # reported as non-finite values by ``_hermitian_gram``
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = C.conj().T @ C
+    return _hermitian_gram(product, feature.grid_E, owned=True)
+
+
 class InducedKernel(KernelMatrix):
     """The kernel ``Hᴴ diag(m) H`` a feature map induces on grid E, and its transform.
 
@@ -90,23 +105,44 @@ class InducedKernel(KernelMatrix):
     (|T| < |E|) supplies the exact factor ``Bᴴ``, so ``weighted_eigh``
     decomposes its |T| x |T| side; see the module docstring.  ``gram`` and
     ``hermitian_defect`` are formed together at the first read of either, as
-    ``Cᴴ C`` with ``C = diag(√m) H``; a wide ``invert`` reads neither.  A
-    gram, or a wide map's ``R Rᴴ``, that overflows raises ``ValueError``
-    ("kernel produced non-finite values") where it is formed.
+    ``Cᴴ C`` with ``C = diag(√m) H``; a wide ``invert`` reads neither.  The
+    gram can be formed again from the feature map (``_evaluate_gram``), so
+    on the ``cholesky`` route it is released like an assembled kernel's, and
+    ``gram_product`` then goes through the map.  A gram, or a wide map's
+    ``R Rᴴ``, that overflows raises ``ValueError`` ("kernel produced
+    non-finite values") where it is formed.
     """
 
     def __init__(self, feature: FeatureMap):
         self.grid = feature.grid_E
         self.feature = feature
 
-    @cached_property
-    def hermitian_gram(self) -> tuple[np.ndarray, float]:
-        C = np.sqrt(self.feature.grid_T.weights)[:, None] * self.feature.matrix
-        # a real C makes this a syrk, exactly symmetric; an overflow is
-        # reported as non-finite values by ``_hermitian_gram``
-        with np.errstate(over="ignore", invalid="ignore"):
-            product = C.conj().T @ C
-        return _hermitian_gram(product, self.grid, owned=True)
+    @property
+    def _evaluate_gram(self) -> Callable[[], tuple[np.ndarray, float]]:
+        """Forms ``(gram, hermitian_defect)`` anew; it binds the feature map, not the kernel."""
+        return partial(_induced_gram, self.feature)
+
+    def gram_product(self, x: np.ndarray) -> np.ndarray:
+        """``gram @ x``: by the gram while it is held, else ``Cᴴ (C x) = Hᴴ (m∘(H x))``.
+
+        Once the gram is released the product goes through the feature map
+        and forms no n x n array; its sums run in another order than
+        ``gram @ x``, so the last digits differ.  It has the dtype
+        ``gram @ x`` would have: a complex map whose gram has no imaginary
+        part gives a real product with a real ``x``.
+        """
+        # read first: on a kernel whose gram was never formed it forms the
+        # gram, which then gives the product
+        dtype = np.result_type(self.gram_diagonal, x)
+        if "hermitian_gram" in self.__dict__:
+            return self.gram @ x
+        H = self.feature.matrix
+        y = H @ x
+        # m∘y along the T axis, for a vector or a block of columns
+        np.multiply(y.T, self.grid_T.weights, out=y.T)
+        # (yᴴ H)ᴴ = Hᴴ y, without a conjugated copy of H
+        product = (y.conj().T @ H).conj().T
+        return product if product.dtype == dtype else np.ascontiguousarray(product.real)
 
     @property
     def grid_T(self) -> Grid:
@@ -234,13 +270,15 @@ def _adjoint_rows(op: InducedKernel, rows: slice) -> np.ndarray:
     return op.feature.matrix[rows] * op.grid_E.weights[None, :]
 
 
-def _factorization_residual(op: InducedKernel) -> float:
+def factorization_residual(op: InducedKernel) -> float:
     """``||K W - (Hᴴ diag m)(H diag w)||_F / ||K W||_F``, summed over tiles of both products.
 
     ``K W = gram diag(w)`` is the induced operator.  Neither n x n product is
     formed whole: the adjoint is formed a group of at most ``ROW_BLOCK``
     columns at a time, and each tile of the gap is a block of forward rows
     times one group, less the same tile of ``K W`` (``_row_slices`` both).
+    It reads the gram, so it runs before the decomposition, which may
+    release it (``verify_identities``).
     """
     H, w = op.feature.matrix, op.grid_E.weights
     lhs_norms, gap_norms = [], []
@@ -263,12 +301,15 @@ def verify_identities(
     cutoff_rel: float = DEFAULT_CUTOFF_REL,
     trials: int = 100,
     seed: int = 0,
+    factorization: float | None = None,
 ) -> IdentityReport:
     """Measure every operator identity over seeded random trial functions.
 
     All residuals are relative.  The isometry and round-trip identities are
     meaningful only for injective transforms; the report records injectivity
-    so callers can gate on it.
+    so callers can gate on it.  ``factorization`` is the
+    ``factorization_residual`` of ``op`` when the caller measured it before
+    decomposing the kernel; otherwise it is measured here, first.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -276,12 +317,13 @@ def verify_identities(
     m = op.grid_T.weights
     w = op.grid_E.weights
     complex_mode = np.iscomplexobj(op.feature.matrix)
-    # the decomposition behind the rank runs before the n x n products below exist
-    inj = check_injectivity(op, cutoff_rel)
-
     # factorization: induced operator == forward @ adjoint, with forward
-    # Hᴴ diag(m) and adjoint H diag(w) formed a block of rows at a time
-    factorization = _factorization_residual(op)
+    # Hᴴ diag(m) and adjoint H diag(w) formed a block of rows at a time.  It
+    # reads the gram, so it runs before the decomposition behind the rank,
+    # which releases the gram on the cholesky route; no later step reads it
+    if factorization is None:
+        factorization = factorization_residual(op)
+    inj = check_injectivity(op, cutoff_rel)
     n_T, n_E = op.grid_T.size, op.grid_E.size
 
     F = random_samples(rng, n_T, trials, complex_mode)

@@ -16,6 +16,7 @@ kernel forms its gram once, where it is first read, and a wide ``invert``
 never does.
 """
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -614,3 +615,67 @@ class TestRkhsInnerOneSolve:
         with pytest.raises(rl.RangeViolationError) as err:
             rl.rkhs_inner(space, b, ones)
         assert abs(err.value.residual - res_b) <= 1e-15
+
+
+class TestSquareFeatureVerifyGram:
+    """A square feature source on the ``cholesky`` route forms its gram once and releases it."""
+
+    N = 600
+    ARRAY = N * N * 8
+
+    def test_formed_once(self, gram_builds):
+        code, report = cli.run_verify(parse_config(indicator_doc(n_T=self.N, n_E=self.N)))
+        assert code == cli.EXIT_OK
+        assert report["diagnostics"]["decomposition"] == "cholesky"
+        assert report["closed_form"] is not None
+        assert gram_builds == [(self.N, self.N)]
+
+    def test_unitary_inversion_reads_the_gram_before_the_decomposition(self):
+        # the route forms S anew where it needs it (after the rank certificate),
+        # but the kernel never reads its released gram again
+        op = induced_kernel("indicator", self.N, self.N)
+        report = rl.check_unitary_inversion(op, trials=5)
+        assert op.weighted_eigh.decomposition == "cholesky"
+        assert "hermitian_gram" not in vars(op)
+        assert report.verdict_from_kernel.is_weighted_l2 is False
+
+    def test_products_after_release_form_none(self, gram_builds):
+        op = induced_kernel("indicator", self.N, self.N)
+        # the spectrum first, as in verify: the factor is of S itself
+        rl.validate_psd(op, 1e-10)
+        space = rl.make_rkhs_space(op)
+        assert "hermitian_gram" not in vars(op)
+        gram_builds.clear()
+        f = rl.apply_operator(op, rl.sample_function(op.grid_E, np.sin))
+        residuals = rl.reproducing_residuals(space, f)
+        assert np.max(residuals) <= 1e-10
+        assert gram_builds == [] and "hermitian_gram" not in vars(op)
+
+    def test_gram_and_s_never_held_together(self, monkeypatch):
+        # tracemalloc sees H, the gram and S; eigvalsh's copy of S is made
+        # outside numpy's allocator.  A kept gram would stay beside S through
+        # the decomposition and beside its factor through every later step
+        config = parse_config(indicator_doc(n_T=self.N, n_E=self.N))
+        at_eigvalsh = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def traced_eigvalsh(A):
+            at_eigvalsh.append(tracemalloc.get_traced_memory()[0] - start)
+            tracemalloc.reset_peak()
+            return eigvalsh(A)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", traced_eigvalsh)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            code, report = cli.run_verify(config)
+            after_eigvalsh = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_OK
+        assert report["diagnostics"]["decomposition"] == "cholesky"
+        # H and S, with no gram
+        assert len(at_eigvalsh) == 1 and at_eigvalsh[0] < 2.5 * self.ARRAY
+        # H, the factor and row blocks of half an array: a gram beside them
+        # would take it past 3.5 arrays
+        assert after_eigvalsh < 3.25 * self.ARRAY

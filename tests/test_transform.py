@@ -726,3 +726,90 @@ def test_invert_leaves_no_reference_cycle(n_T, n_E, route):
         assert kernel_ref() is None and eig_ref() is None
     finally:
         gc.enable()
+
+
+def square_indicator_op(n=600):
+    grid = rl.make_uniform_grid(0, 1, n, "midpoint")
+    return rl.build_transform(rl.make_feature_map(rl.FeatureFamily("indicator"), grid, grid))
+
+
+class TestReleasedInducedGram:
+    """On the ``cholesky`` route an induced kernel releases its gram and keeps its diagonal."""
+
+    def test_released_and_formed_again_bit_for_bit(self):
+        op = square_indicator_op()
+        gram = op.gram.copy()
+        kept = rl.kernel_from_gram(gram, op.grid_E)
+        assert isinstance(op.weighted_eigh, rl.kernel.CholeskyRoute)
+        assert "hermitian_gram" not in vars(op)
+        np.testing.assert_array_equal(op.weighted_eigh.eigenvalues, kept.weighted_eigh.eigenvalues)
+        assert op.weighted_eigh.decomposition == "cholesky"
+        # the route forms S again from the feature map, never through the kernel
+        assert rl.spectral_data(op, 0.5).route is op.weighted_eigh.eigenpairs
+        assert "hermitian_gram" not in vars(op)
+        np.testing.assert_array_equal(rl.spectral_data(op, 0.5).eigenvalues,
+                                      rl.spectral_data(kept, 0.5).eigenvalues)
+        assert op.gram.dtype == gram.dtype and np.array_equal(op.gram, gram)
+        assert op.hermitian_defect == 0.0
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "released"])
+    def test_kept_diagonal_is_the_gram_diagonal(self, kind):
+        if kind == "released":
+            op = square_indicator_op()
+        else:
+            grid_T = rl.make_uniform_grid(0, 1, 50, "trapezoid")
+            grid_E = rl.make_uniform_grid(0, 1, 40, "midpoint")
+            rng = np.random.default_rng(29)
+            H = rng.standard_normal((50, 40))
+            if kind == "complex":
+                H = H + 1j * rng.standard_normal((50, 40))
+            op = rl.build_transform(rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H))
+        expected = np.diag(op.gram).copy()
+        op.weighted_eigh
+        assert ("hermitian_gram" in vars(op)) is (kind != "released")
+        assert op.gram_diagonal.dtype == expected.dtype
+        assert np.array_equal(op.gram_diagonal, expected)
+
+    def test_freed_by_reference_counting(self):
+        op = square_indicator_op()
+        # the factorization residual reads the gram before the decomposition
+        rl.verify_identities(op, trials=5)
+        rl.verify_reproducing(op, rl.kernel.DEFAULT_CUTOFF_REL, 5, 0, rl.kernel.DEFAULT_RANGE_TOL)
+        rl.spectral_data(op, 0.5)
+        assert "hermitian_gram" not in vars(op)
+        refs = [weakref.ref(op), weakref.ref(op.weighted_eigh)]
+        gc.disable()
+        try:
+            del op
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "complex-real-gram"])
+@pytest.mark.parametrize("n_T", [60, 70, 30], ids=["square", "tall", "wide"])
+@pytest.mark.parametrize("columns", [None, 7], ids=["vector", "block"])
+def test_map_product_agrees_with_the_gram_product(kind, n_T, columns):
+    grid_T = rl.make_uniform_grid(0, 1, n_T, "trapezoid")
+    grid_E = rl.make_uniform_grid(0, 1, 60, "trapezoid")
+    rng = np.random.default_rng(31)
+    H = rng.standard_normal((n_T, 60)).astype(complex if kind != "real" else float)
+    if kind == "complex":
+        H += 1j * rng.standard_normal((n_T, 60))
+    op = rl.build_transform(rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H))
+    gram = op.gram
+    # a complex map whose gram has no imaginary part gives a real gram
+    assert np.iscomplexobj(gram) is (kind == "complex")
+    shape = 60 if columns is None else (60, columns)
+    real_x = rng.standard_normal(shape)
+    for x in (real_x, real_x + 1j * rng.standard_normal(shape)):
+        expected = gram @ x
+        assert np.array_equal(op.gram_product(x), expected)
+        # released as the cholesky route releases it, with the diagonal kept
+        del op.hermitian_gram
+        product = op.gram_product(x)
+        assert "hermitian_gram" not in vars(op)
+        assert product.dtype == expected.dtype and product.shape == expected.shape
+        bound = 60 * np.finfo(float).eps * np.linalg.norm(gram) * np.linalg.norm(x)
+        assert np.linalg.norm(product - expected) <= bound
+        op.gram
