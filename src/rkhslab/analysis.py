@@ -103,8 +103,11 @@ def check_unitary_inversion(
     ``verify_identities``: its ``plain_adjoint_error`` and ``roundtrip_error``.
 
     Raises ``NotInjectiveError`` for rank-deficient transforms.  The verdict
-    reads the gram, so it is taken before ``verify_identities`` decomposes
-    the kernel, which may release the gram, and the rank is read after.
+    reads the gram, so it is taken first.  ``verify_identities`` then reads
+    the gram for its factorization residual before it reads the spectrum,
+    which may release the gram, and takes the rank from that decomposition:
+    the gram is formed once, and a Cholesky route runs one ``eigvalsh`` and
+    one Cholesky.
     """
     verdict = check_weighted_l2(op, tol_diag)
     identities = verify_identities(op, cutoff_rel, trials, seed)

@@ -197,7 +197,7 @@ def closed_form_discrepancy(spec: FeatureFamily, op: InducedKernel) -> float | N
     """Max absolute gap between the induced gram and the closed form on grid E.
 
     The closed form is evaluated a block of rows at a time, in the blocks of
-    ``verify_identities`` (``kernel._row_slices``).
+    ``transform.factorization_residual`` (``kernel._row_slices``).
     """
     kfun = closed_form_kernel(spec, op.grid_T)
     if kfun is None:

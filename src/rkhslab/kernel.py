@@ -60,12 +60,13 @@ n x n array of its own.
   Numerical Algorithms*, Thm 10.3), its success puts every eigenvalue
   above ``cutoff_rel * lambda_max``, so the rank is r.  And it is the solve
   factor of ``invert``, which refines its solve on the data residual
-  (``transform.invert``).  A solve through ``L``, and the ``cholesky``
-  route's kept diagonal, first replace the shifted factor by one of ``A``
-  itself, formed anew (``CholeskyRoute.drop_shift``).  A solve the
-  eigenpairs answer, and the ``wide`` route's kept diagonal, which reads F
-  alone, keep it.  ``invert`` runs one Cholesky, shifted, and no
-  ``eigvalsh``.
+  (``transform.invert``).  A solve through ``L`` first replaces the shifted
+  factor by one of ``A`` itself, formed anew (``CholeskyRoute.drop_shift``).
+  A solve the eigenpairs answer, and the kept diagonal where every
+  eigenvalue is kept, keep it: that diagonal is ``diag(S)`` itself, read off
+  ``S`` before it is factored on the ``cholesky`` route and from the row
+  norms of F on the ``wide`` one.  ``invert`` runs one Cholesky, shifted,
+  and no ``eigvalsh``.
 * A failed factorization leaves its form spoiled; the form is released and
   formed anew where it is read next.  When the certificate fails, ``A`` is
   formed anew, and ``eigvalsh`` and the unshifted factor decide, so a rank
@@ -210,6 +211,8 @@ class CholeskyRoute:
         self._form = form
         self._reform = reform
         self.size = form.shape[0]
+        #: ``diag(A)``, read before ``A`` is factored over itself: ``diag(S)`` on the ``cholesky`` route
+        self._form_diagonal = np.diag(form).real.copy()
         #: the factor, of ``A - shift I``, once one is held
         self.L: np.ndarray | None = None
         self.shift = 0.0
@@ -309,16 +312,14 @@ class CholeskyRoute:
         return _cholesky_solve(self.L, y), np.zeros(y.shape[1])
 
     def kept_diagonal(self, cutoff_rel: float) -> np.ndarray:
-        """The diagonal of ``S`` on what the cutoff keeps: the squared row norms of ``S``'s factor."""
+        """The diagonal of ``S`` on what the cutoff keeps: all of ``diag(S)`` where it keeps every eigenvalue."""
         if not self._keeps_all(cutoff_rel):
             return self.eigenpairs.kept_diagonal(cutoff_rel)
-        factor = self._factor_of_s()
-        return np.einsum("ij,ij->i", factor, factor.conj()).real
+        return self._s_diagonal()
 
-    def _factor_of_s(self) -> np.ndarray:
-        """``L``, with ``S = L Lᴴ``: a shifted factor is replaced first."""
-        self.drop_shift()
-        return self.L
+    def _s_diagonal(self) -> np.ndarray:
+        """``diag(S)``: here ``A`` is ``S``, and its diagonal was read before it was factored."""
+        return self._form_diagonal
 
     def solve_shifted(self, b: np.ndarray) -> np.ndarray:
         """``(A - shift I)⁻¹ b`` by the held factor."""
@@ -367,9 +368,9 @@ class WideRoute(CholeskyRoute):
         coeffs = _cholesky_solve(self.L, self.F.conj().T @ y)
         return self.F @ _cholesky_solve(self.L, coeffs), _relative_norms(y - self.F @ coeffs, y)
 
-    def _factor_of_s(self) -> np.ndarray:
-        """``F`` itself, which needs no factor of ``G``: a shifted one is kept."""
-        return self.F
+    def _s_diagonal(self) -> np.ndarray:
+        """``diag(F Fᴴ)``, the squared row norms of ``F``, read each time it is asked for."""
+        return np.einsum("ij,ij->i", self.F, self.F.conj()).real
 
 
 def _relative_norms(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
@@ -901,9 +902,10 @@ def _kept_diagonal(K: KernelMatrix, cutoff_rel: float = DEFAULT_CUTOFF_REL) -> n
     """Diagonal of the weighted form restricted to the eigenpairs the cutoff keeps.
 
     It is ``sum_{k < rank} lam_k |U[q, k]|^2`` over the kept eigenpairs, or,
-    when a Cholesky factor keeps them all, the squared row norms of the
-    factor of ``S``: ``(L Lᴴ)_qq`` on the ``cholesky`` route, ``(F Fᴴ)_qq``
-    on the ``wide`` one.  In exact arithmetic the two agree.  O(n rank) work.
+    when a Cholesky factor keeps them all, ``diag(S)`` itself: read off ``S``
+    before it is factored on the ``cholesky`` route, and as the squared row
+    norms of ``F`` (``(F Fᴴ)_qq``) on the ``wide`` one.  In exact arithmetic
+    the two agree.  O(n rank) work.
     """
     return spectral_data(K, cutoff_rel).route.kept_diagonal(cutoff_rel)
 

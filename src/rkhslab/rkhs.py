@@ -167,7 +167,7 @@ def verify_reproducing(
     The in-range trial functions share one batched solve.  The bound is an
     equality at the kernel sections, and their squared norms come in closed
     form from the cached eigenpairs, ``sum_{k < rank} lam_k |U[q, k]|^2 / w_q``,
-    or, when the Cholesky route keeps every eigenvalue, ``(L Lᴴ)_qq / w_q``
+    or, when a Cholesky route keeps every eigenvalue, ``S_qq / w_q`` itself
     (``kernel._kept_diagonal``): O(n rank) work that equals, in exact
     arithmetic, a pseudo-inverse solve of the n columns of ``gram``.  The
     gram is read only through ``gram_product``, its diagonal and its dtype

@@ -12,18 +12,21 @@ transform: every function here takes it, and its rank and solves read its one
 cached decomposition at one cutoff.
 
 Building it does no n x n work.  ``apply_forward`` and ``apply_adjoint`` are
-matvecs, ``Hᴴ (m∘F)`` and ``H (w∘g)``; only ``verify_identities``, which
-needs their product, forms the two matrices, in blocks and never whole.
-The gram is formed on first
-read, with its Hermitian defect, as ``Cᴴ C`` with ``C = diag(√m) H``: one
-syrk for a real map, exactly symmetric.  A product with a released gram
+one product with H each, ``Hᴴ (m∘F)`` and ``H (w∘g)``, of a vector or a
+block of columns, and neither forms a scaled or conjugated copy of H.  Only
+``factorization_residual`` compares the gram with the product of the two
+matrices, tile by tile.  The gram is formed on first read, with its
+Hermitian defect, as ``Cᴴ C`` with ``C = diag(√m) H``: one syrk for a real
+map, exactly symmetric.  A product with a released gram
 is ``Cᴴ (C x)``, through the feature map (``InducedKernel.gram_product``).
 ``verify`` and ``analyze`` form the gram once, a square or tall ``invert``
 once for its decomposition, and a wide ``invert`` never.  On the
 ``cholesky`` route the kernel releases its gram while the route holds
-``S``, as an assembled kernel does (``kernel`` module docstring), so
-``verify`` reads the gram before it decomposes: the factorization residual
-runs first in ``verify_identities``.
+``S``, as an assembled kernel does (``kernel`` module docstring), so the
+gram is read before the decomposition: ``verify_identities`` measures the
+factorization residual first, then reads the spectrum as ``verify`` does
+(one ``eigvalsh`` and one Cholesky), and its rank and solves read that
+decomposition.
 
 With ``B = diag(m)^{1/2} H diag(w)^{1/2}`` (|T| x |E|), the weighted induced
 form is ``S = Bᴴ B``.  The kernel only supplies what it knows: the gram and,
@@ -136,12 +139,7 @@ class InducedKernel(KernelMatrix):
         dtype = np.result_type(self.gram_diagonal, x)
         if "hermitian_gram" in self.__dict__:
             return self.gram @ x
-        H = self.feature.matrix
-        y = H @ x
-        # m∘y along the T axis, for a vector or a block of columns
-        np.multiply(y.T, self.grid_T.weights, out=y.T)
-        # (yᴴ H)ᴴ = Hᴴ y, without a conjugated copy of H
-        product = (y.conj().T @ H).conj().T
+        product = _forward_values(self, self.feature.matrix @ x)
         return product if product.dtype == dtype else np.ascontiguousarray(product.real)
 
     @property
@@ -212,14 +210,16 @@ def build_transform(feature: FeatureMap) -> InducedKernel:
 
 
 def _forward_values(op: InducedKernel, F: np.ndarray) -> np.ndarray:
-    """``Hᴴ (m∘F)`` for samples ``F`` on grid T."""
-    # (conj(x) H)ᴴ = Hᴴ x, without a conjugated copy of H
-    return ((op.grid_T.weights * F).conj() @ op.feature.matrix).conj()
+    """``Hᴴ (m∘F)`` for samples ``F`` on grid T, a vector or a block of columns."""
+    # m∘F along the T axis, in F's layout
+    y = (F.T * op.grid_T.weights).T
+    # (yᴴ H)ᴴ = Hᴴ y, without a conjugated copy of H
+    return (y.conj().T @ op.feature.matrix).conj().T
 
 
 def _adjoint_values(op: InducedKernel, g: np.ndarray) -> np.ndarray:
-    """``H (w∘g)`` for samples ``g`` on grid E."""
-    return op.feature.matrix @ (op.grid_E.weights * g)
+    """``H (w∘g)`` for samples ``g`` on grid E, a vector or a block of columns."""
+    return op.feature.matrix @ (g.T * op.grid_E.weights).T
 
 
 def apply_forward(op: InducedKernel, F: DiscreteFunction) -> DiscreteFunction:
@@ -265,11 +265,6 @@ def _forward_rows(op: InducedKernel, rows: slice) -> np.ndarray:
     return (op.feature.matrix[:, rows] * op.grid_T.weights[:, None]).conj().T
 
 
-def _adjoint_rows(op: InducedKernel, rows: slice) -> np.ndarray:
-    """Rows ``rows`` of the adjoint matrix ``H diag(w)``."""
-    return op.feature.matrix[rows] * op.grid_E.weights[None, :]
-
-
 def factorization_residual(op: InducedKernel) -> float:
     """``||K W - (Hᴴ diag m)(H diag w)||_F / ||K W||_F``, summed over tiles of both products.
 
@@ -278,7 +273,7 @@ def factorization_residual(op: InducedKernel) -> float:
     columns at a time, and each tile of the gap is a block of forward rows
     times one group, less the same tile of ``K W`` (``_row_slices`` both).
     It reads the gram, so it runs before the decomposition, which may
-    release it (``verify_identities``).
+    release it: ``verify_identities`` runs it first.
     """
     H, w = op.feature.matrix, op.grid_E.weights
     lhs_norms, gap_norms = [], []
@@ -301,15 +296,19 @@ def verify_identities(
     cutoff_rel: float = DEFAULT_CUTOFF_REL,
     trials: int = 100,
     seed: int = 0,
-    factorization: float | None = None,
 ) -> IdentityReport:
     """Measure every operator identity over seeded random trial functions.
 
     All residuals are relative.  The isometry and round-trip identities are
     meaningful only for injective transforms; the report records injectivity
-    so callers can gate on it.  ``factorization`` is the
-    ``factorization_residual`` of ``op`` when the caller measured it before
-    decomposing the kernel; otherwise it is measured here, first.
+    so callers can gate on it.  The steps run in a fixed order.  The
+    factorization residual, the one reader of the gram, runs first; then the
+    spectrum is read, as ``verify`` reads it (on a Cholesky route one
+    ``eigvalsh`` and one Cholesky, after which the ``cholesky`` route has
+    released the gram); then the rank, the solves and the condition number
+    read that decomposition.  Every trial image is one product with H
+    (``_forward_values``), and every back-transform one more
+    (``_adjoint_values``).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -317,28 +316,17 @@ def verify_identities(
     m = op.grid_T.weights
     w = op.grid_E.weights
     complex_mode = np.iscomplexobj(op.feature.matrix)
-    # factorization: induced operator == forward @ adjoint, with forward
-    # Hᴴ diag(m) and adjoint H diag(w) formed a block of rows at a time.  It
-    # reads the gram, so it runs before the decomposition behind the rank,
-    # which releases the gram on the cholesky route; no later step reads it
-    if factorization is None:
-        factorization = factorization_residual(op)
+    factorization = factorization_residual(op)
+    # the spectrum before any rank query, so no certificate runs
+    op.weighted_eigh.eigenvalues
     inj = check_injectivity(op, cutoff_rel)
-    n_T, n_E = op.grid_T.size, op.grid_E.size
 
-    F = random_samples(rng, n_T, trials, complex_mode)
-    G = random_samples(rng, n_T, trials, complex_mode)
-    g_rand = random_samples(rng, n_E, trials, complex_mode)
-    # every trial image in one pass over the forward rows, every adjoint in one more
-    images = np.hstack([F, G])
-    f_img, g_img = np.hsplit(
-        np.concatenate([_forward_rows(op, rows) @ images for rows in _row_slices(n_E)]), 2
-    )
+    F = random_samples(rng, op.grid_T.size, trials, complex_mode)
+    G = random_samples(rng, op.grid_T.size, trials, complex_mode)
+    g_rand = random_samples(rng, op.grid_E.size, trials, complex_mode)
+    f_img, g_img = np.hsplit(_forward_values(op, np.hstack([F, G])), 2)
     x, _ = _solve_columns(op, f_img, cutoff_rel)
-    sources = np.hstack([x, f_img, g_rand])
-    back, plain_back, g_rand_back = np.hsplit(
-        np.concatenate([_adjoint_rows(op, rows) @ sources for rows in _row_slices(n_T)]), 3
-    )
+    back, plain_back, g_rand_back = np.hsplit(_adjoint_values(op, np.hstack([x, f_img, g_rand])), 3)
 
     f_norms = _column_norms(m, F)
     g_norms = _column_norms(m, G)

@@ -390,6 +390,39 @@ class TestVerifyCommand:
         assert report["psd"]["passed"] is False
         assert report["passed"] is False
 
+    def test_feature_source_failing_psd_skips_the_identity_suites(self, tmp_path):
+        # a 1e4-scaled gaussian map: its induced form is positive semidefinite,
+        # but eigh puts its least eigenvalue at -9.87e-10, below -tol_psd.  The
+        # transform suite runs before the PSD gate and reports nothing
+        grid_E = {"interval": [0.0, 1.0], "n": 60, "rule": "midpoint"}
+        grid_T = {"interval": [-0.8, 1.8], "n": 60, "rule": "midpoint"}
+        spec = rl.FeatureFamily("gaussian", sigma=0.1)
+        H = rl.make_feature_map(spec, rl.make_uniform_grid(-0.8, 1.8, 60, "midpoint"),
+                                rl.make_uniform_grid(0.0, 1.0, 60, "midpoint")).matrix
+        save_matrix_csv(1e4 * H, tmp_path / "H.csv", mode="real")
+        doc = {
+            "grids": {"E": grid_E, "T": grid_T},
+            "source": {"csv": {"kind": "feature", "path": str(tmp_path / "H.csv"),
+                               "mode": "real"}},
+            "trials": 10,
+            "seed": 4,
+        }
+        out = tmp_path / "report.json"
+        code = main(["verify", "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert report["psd"]["passed"] is False
+        assert report["psd"]["min_eigenvalue"] == pytest.approx(-9.87e-10, rel=1e-3)
+        assert report["injectivity"] is None and report["unitary_inversion"] is None
+        assert report["closed_form"] is None and report["identities"] == {}
+        assert "transform_suite_s" not in report["timings"]
+        skipped = ["reproducing", "point_eval_bound", "point_eval_equality"]
+        assert [c["name"] for c in report["criteria"]] == ["psd", *skipped]
+        for c in report["criteria"][1:]:
+            assert c["passed"] is None and c["note"] == "skipped: kernel failed the PSD check"
+        assert report["flags"] == ["kernel failed nonnegative-definiteness; identity suite skipped"]
+        assert report["weighted_l2"] is not None
+
     def test_two_sources_exit_two(self, tmp_path, capsys):
         doc = indicator_config()
         doc["source"]["kernel"] = {"name": "brownian"}

@@ -631,13 +631,26 @@ class TestSquareFeatureVerifyGram:
         assert gram_builds == [(self.N, self.N)]
 
     def test_unitary_inversion_reads_the_gram_before_the_decomposition(self):
-        # the route forms S anew where it needs it (after the rank certificate),
-        # but the kernel never reads its released gram again
+        # the verdict and the factorization residual read the gram before the
+        # decomposition releases it, and nothing reads it again
         op = induced_kernel("indicator", self.N, self.N)
         report = rl.check_unitary_inversion(op, trials=5)
         assert op.weighted_eigh.decomposition == "cholesky"
         assert "hermitian_gram" not in vars(op)
         assert report.verdict_from_kernel.is_weighted_l2 is False
+
+    @pytest.mark.parametrize("check", [rl.verify_identities, rl.check_unitary_inversion],
+                             ids=["verify_identities", "check_unitary_inversion"])
+    def test_standalone_suite_forms_the_gram_once(self, gram_builds, factorizations, check):
+        # the factorization residual reads the gram, then the spectrum is read
+        # as verify reads it: no certificate, and the factor of S solves
+        op = induced_kernel("indicator", self.N, self.N)
+        check(op, trials=5)
+        assert gram_builds == [(self.N, self.N)]
+        assert factorizations == {"cholesky": 1, "eigvalsh": 1}
+        route = op.weighted_eigh
+        assert route.decomposition == "cholesky" and route.shift == 0.0
+        assert not route.rank_certified(rl.kernel.DEFAULT_CUTOFF_REL)
 
     def test_products_after_release_form_none(self, gram_builds):
         op = induced_kernel("indicator", self.N, self.N)

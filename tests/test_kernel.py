@@ -548,11 +548,14 @@ class TestCertifiedFactorSolves:
             assert abs(getattr(got, name) - getattr(expected, name)) <= 1e-12
         assert K.weighted_eigh.shift == 0.0
 
-    def test_kept_diagonal_matches(self, kernels):
+    def test_kept_diagonal_matches(self, kernels, monkeypatch):
         K, reference = kernels
-        # the squared row norms of the factor of S, not of S - c I
+        # diag(S), read off S before it was factored: the shifted factor stays,
+        # and no full-size factorization runs
+        factorizations = []
+        monkeypatch.setattr(rl.kernel, "_cholesky_in_place", lambda A: factorizations.append(1))
         diag, diag_ref = (rl.kernel._kept_diagonal(k) for k in kernels)
-        assert K.weighted_eigh.shift == 0.0
+        assert K.weighted_eigh.shift > 0.0 and factorizations == []
         assert np.max(np.abs(diag - diag_ref)) <= 1e-12 * np.max(diag_ref)
 
 

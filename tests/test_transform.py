@@ -812,4 +812,40 @@ def test_map_product_agrees_with_the_gram_product(kind, n_T, columns):
         assert product.dtype == expected.dtype and product.shape == expected.shape
         bound = 60 * np.finfo(float).eps * np.linalg.norm(gram) * np.linalg.norm(x)
         assert np.linalg.norm(product - expected) <= bound
+        # bit for bit, and in the same layout, the product through a scaled
+        # copy of H x: (yᴴ H)ᴴ with y = m∘(H x)
+        y = op.feature.matrix @ x
+        np.multiply(y.T, grid_T.weights, out=y.T)
+        reference = (y.conj().T @ op.feature.matrix).conj().T
+        if reference.dtype != product.dtype:
+            reference = np.ascontiguousarray(reference.real)
+        assert np.array_equal(product, reference) and product.strides == reference.strides
         op.gram
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n_T", [60, 70, 30], ids=["square", "tall", "wide"])
+@pytest.mark.parametrize("columns", [None, 7], ids=["vector", "block"])
+def test_forward_and_adjoint_products_agree_with_their_matrices(kind, n_T, columns):
+    # Hᴴ (m∘X) and H (w∘X) are one product with H each; against the explicit
+    # Hᴴ diag(m) and H diag(w), for real and complex X
+    grid_T = rl.make_uniform_grid(0, 1, n_T, "trapezoid")
+    grid_E = rl.make_uniform_grid(0, 1, 60, "trapezoid")
+    rng = np.random.default_rng(37)
+    H = rng.standard_normal((n_T, 60))
+    if kind == "complex":
+        H = H + 1j * rng.standard_normal((n_T, 60))
+    op = rl.build_transform(rl.FeatureMap(grid_T=grid_T, grid_E=grid_E, matrix=H))
+    cases = [
+        (rl.transform._forward_values, H.conj().T @ np.diag(grid_T.weights)),
+        (rl.transform._adjoint_values, H @ np.diag(grid_E.weights)),
+    ]
+    for product, matrix in cases:
+        shape = matrix.shape[1] if columns is None else (matrix.shape[1], columns)
+        real_x = rng.standard_normal(shape)
+        for x in (real_x, real_x + 1j * rng.standard_normal(shape)):
+            expected = matrix @ x
+            got = product(op, x)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            bound = max(n_T, 60) * np.finfo(float).eps * np.linalg.norm(matrix) * np.linalg.norm(x)
+            assert np.linalg.norm(got - expected) <= bound
