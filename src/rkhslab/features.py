@@ -196,8 +196,9 @@ def closed_form_kernel(spec: FeatureFamily, grid_T: Grid) -> Callable | None:
 def closed_form_discrepancy(spec: FeatureFamily, op: InducedKernel) -> float | None:
     """Max absolute gap between the induced gram and the closed form on grid E.
 
-    The closed form is evaluated a block of rows at a time, in the blocks of
-    ``transform.factorization_residual`` (``kernel._row_slices``).
+    The closed form is evaluated a group of whole rows at a time, in the row
+    groups of ``transform.factorization_residual`` (``kernel._row_slices``),
+    which forms only the part of each group on and above the diagonal.
     """
     kfun = closed_form_kernel(spec, op.grid_T)
     if kfun is None:

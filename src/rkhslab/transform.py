@@ -14,11 +14,13 @@ cached decomposition at one cutoff.
 Building it does no n x n work.  ``apply_forward`` and ``apply_adjoint`` are
 one product with H each, ``Hᴴ (m∘F)`` and ``H (w∘g)``, of a vector or a
 block of columns, and neither forms a scaled or conjugated copy of H.  Only
-``factorization_residual`` compares the gram with the product of the two
-matrices, tile by tile.  The gram is formed on first read, with its
-Hermitian defect, as ``Cᴴ C`` with ``C = diag(√m) H``: one syrk for a real
-map, exactly symmetric.  A product with a released gram
-is ``Cᴴ (C x)``, through the feature map (``InducedKernel.gram_product``).
+``factorization_residual`` forms the n x n product ``(Hᴴ diag m) H``, one
+row group at a time and only on the tiles on and above the diagonal, and
+compares it with the gram, weighted by ``W = diag(w)`` after the product.
+The gram is formed on first read, with its Hermitian defect, as ``Cᴴ C``
+with ``C = diag(√m) H``: one syrk for a real map, exactly symmetric.  A
+product with a released gram is ``Cᴴ (C x)``, through the feature map
+(``InducedKernel.gram_product``).
 ``verify`` and ``analyze`` form the gram once, a square or tall ``invert``
 once for its decomposition, and a wide ``invert`` never.  On the
 ``cholesky`` route the kernel releases its gram while the route holds
@@ -171,11 +173,13 @@ class InjectivityReport:
 class IdentityReport:
     """Residuals of the operator identities over seeded random trials.
 
-    factorization_residual: relative Frobenius gap between the induced
-    operator and forward∘adjoint.  roundtrip_error: worst relative error of
-    adjoint∘inverse-kernel∘forward against the identity.  isometry_defect:
-    worst defect of the space inner product against the source L2 product.
-    norm_defect: worst relative gap between image space-norm and source norm.
+    factorization_residual: ``||(K - (Hᴴ diag m) H) W||_F / ||K W||_F``, the
+    relative gap between the induced operator ``K W`` and forward∘adjoint,
+    with ``W = diag(w)`` applied after the product.  roundtrip_error: worst
+    relative error of adjoint∘inverse-kernel∘forward against the identity.
+    isometry_defect: worst defect of the space inner product against the
+    source L2 product.  norm_defect: worst relative gap between image
+    space-norm and source norm.
     adjointness_defect: worst defect of the duality pairing between forward
     and adjoint.  plain_adjoint_error: worst relative error of recovery by
     the plain adjoint, adjoint∘forward against the identity.
@@ -260,35 +264,47 @@ def _column_norms(weights: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(weights[:, None] * np.abs(mat) ** 2, axis=0))
 
 
-def _forward_rows(op: InducedKernel, rows: slice) -> np.ndarray:
-    """Rows ``rows`` of the forward matrix ``Hᴴ diag(m)``, as a transposed view."""
-    return (op.feature.matrix[:, rows] * op.grid_T.weights[:, None]).conj().T
+def _mirrored_mass(block: np.ndarray, w2: np.ndarray, rows: slice) -> float:
+    """``||A W||_F²`` of a Hermitian ``A`` over ``block = A[rows, rows.start:]`` and its mirror.
+
+    Each entry counts with its column's ``w2 = w²``; an entry right of the
+    diagonal tile ``A[rows, rows]`` counts again with its row's, for its
+    conjugate below the diagonal.  Column and row reductions of the real
+    and imaginary parts, which are views, so no array of the block's size
+    is formed.
+    """
+    parts = (block.real, block.imag) if np.iscomplexobj(block) else (block,)
+    tile = rows.stop - rows.start
+    return float(sum(np.einsum("qp,qp->p", part, part) @ w2[rows.start:]
+                     + w2[rows] @ np.einsum("qp,qp->q", part[:, tile:], part[:, tile:])
+                     for part in parts))
 
 
 def factorization_residual(op: InducedKernel) -> float:
-    """``||K W - (Hᴴ diag m)(H diag w)||_F / ||K W||_F``, summed over tiles of both products.
+    """``||(K - fl((Hᴴ diag m) H)) W||_F / ||K W||_F``, on the tiles on and above the diagonal.
 
-    ``K W = gram diag(w)`` is the induced operator.  Neither n x n product is
-    formed whole: the adjoint is formed a group of at most ``ROW_BLOCK``
-    columns at a time, and each tile of the gap is a block of forward rows
-    times one group, less the same tile of ``K W`` (``_row_slices`` both).
+    ``K`` is the gram and ``W = diag(w)`` weights both sides after the
+    product, as in ``K W = L L*``.  The exact product is Hermitian, as the
+    stored gram is, so for each row group (``_row_slices``) the forward
+    rows ``(Hᴴ diag m)[rows]`` are formed once and multiply ``H`` from the
+    group's diagonal tile on; each tile below the diagonal is taken as the
+    conjugate transpose of its mirror, with the row weights in place of
+    the column weights (``_mirrored_mass``).  No n x n array is formed.
     It reads the gram, so it runs before the decomposition, which may
     release it: ``verify_identities`` runs it first.
     """
-    H, w = op.feature.matrix, op.grid_E.weights
-    lhs_norms, gap_norms = [], []
-    for cols in _row_slices(op.size):
-        adjoint = H[:, cols] * w[None, cols]
-        for rows in _row_slices(op.size):
-            gap = _forward_rows(op, rows) @ adjoint
-            lhs = op.gram[rows, cols] * w[None, cols]
-            lhs_norms.append(np.linalg.norm(lhs))
-            gap -= lhs
-            gap_norms.append(np.linalg.norm(gap))
-            # released before the next tile is formed
-            del gap, lhs
-    lhs_norm = float(np.linalg.norm(lhs_norms))
-    return float(np.linalg.norm(gap_norms) / lhs_norm) if lhs_norm > 0 else 0.0
+    H, K, w2 = op.feature.matrix, op.gram, op.grid_E.weights ** 2
+    # the gap's mass and the gram's
+    masses = np.zeros(2)
+    for rows in _row_slices(op.size):
+        forward = H[:, rows] * op.grid_T.weights[:, None]
+        # (Hᴴ diag m)[rows], conjugated in place, times H from the diagonal tile on
+        gap = np.conjugate(forward, out=forward).T @ H[:, rows.start:]
+        gap -= K[rows, rows.start:]
+        masses += [_mirrored_mass(gap, w2, rows), _mirrored_mass(K[rows, rows.start:], w2, rows)]
+        # released before the next row group is formed
+        del forward, gap
+    return float(np.sqrt(masses[0] / masses[1])) if masses[1] > 0 else 0.0
 
 
 def verify_identities(

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -262,6 +263,116 @@ class TestVerifyIdentities:
         for op in (ones_op, ill_conditioned_diagonal_op):
             report = rl.verify_identities(op, trials=5, seed=0)
             assert not report.injective
+
+
+def _dense_factorization_residual(op):
+    """``||(K - (Hᴴ diag m) H) W||_F / ||K W||_F`` with the gap formed whole."""
+    H, K, w = op.feature.matrix, op.gram, op.grid_E.weights
+    gap = K - (H.conj().T * op.grid_T.weights) @ H
+    return np.linalg.norm(gap * w) / np.linalg.norm(K * w)
+
+
+def _with_gram(op, gram):
+    """A kernel on ``op``'s feature map that holds ``gram``, as a faulty gram builder would give."""
+    faulty = rl.build_transform(op.feature)
+    faulty.hermitian_gram = gram, 0.0
+    return faulty
+
+
+def _random_map(kind, n_E, shape, rule):
+    """A seeded random feature map over [0, 1], square, tall (|T| > |E|) or wide (|T| < |E|)."""
+    n_T = {"square": n_E, "tall": n_E + n_E // 3, "wide": n_E - n_E // 3}[shape]
+    rng = np.random.default_rng(0)
+    H = rng.standard_normal((n_T, n_E))
+    if kind == "complex":
+        H = H + 1j * rng.standard_normal((n_T, n_E))
+    return rl.build_transform(rl.FeatureMap(grid_T=rl.make_uniform_grid(0, 1, n_T, rule),
+                                            grid_E=rl.make_uniform_grid(0, 1, n_E, rule), matrix=H))
+
+
+def _indicator_op(n):
+    grid = rl.make_uniform_grid(0, 1, n, "midpoint")
+    return rl.build_transform(rl.make_feature_map(rl.FeatureFamily("indicator"), grid, grid))
+
+
+class TestFactorizationResidual:
+    """``factorization_residual`` forms the product on the tiles on and above the diagonal.
+
+    At n = 1100 there are three row groups (``kernel._row_slices``), so
+    tiles below the diagonal are taken from their mirrors.
+    """
+
+    @pytest.mark.parametrize("n", [30, 1100])
+    @pytest.mark.parametrize("rule", ["midpoint", "trapezoid"])
+    @pytest.mark.parametrize("shape", ["square", "tall", "wide"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_the_dense_definition(self, kind, shape, rule, n):
+        op = _random_map(kind, n, shape, rule)
+        eps = np.finfo(float).eps
+        # a value relative to ||K W||: products summed in other orders move it
+        # by a few ulps of 1
+        got = rl.transform.factorization_residual(op)
+        assert got <= 1e-14
+        assert abs(got - _dense_factorization_residual(op)) <= 4 * eps
+        # a Hermitian gap far above rounding, where every weight and mirrored
+        # tile shows in the leading digits
+        rng = np.random.default_rng(1)
+        noise = rng.standard_normal((n, n))
+        if kind == "complex":
+            noise = noise + 1j * rng.standard_normal((n, n))
+        faulty = _with_gram(op, op.gram + 1e-8 * np.abs(op.gram).max() * (noise + noise.conj().T))
+        expected = _dense_factorization_residual(faulty)
+        assert expected > 1e-9
+        assert rl.transform.factorization_residual(faulty) == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("shape", ["square", "tall", "wide"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_allocates_one_row_group(self, kind, shape):
+        # beyond its inputs: the forward rows of one row group and their
+        # product from the diagonal tile on, never an n x n array
+        op = _random_map(kind, 1100, shape, "midpoint")
+        op.gram
+        n_T, n = op.feature.matrix.shape
+        rows = max(s.stop - s.start for s in rl.kernel._row_slices(n))
+        itemsize = op.feature.matrix.itemsize
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rl.transform.factorization_residual(op)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows * (n_T + n) * itemsize + 64 * 1024
+        assert peak < n * n * itemsize
+
+    @staticmethod
+    def sensitivity_cases():
+        """``(name, op, faulty gram)``, at n = 600 (two row groups)."""
+        indicator = _indicator_op(600)
+        shifted = indicator.gram.copy()
+        # a column of the last row group, all on or above the diagonal tiles;
+        # a stored gram is Hermitian, and its tiles below them are the mirrors
+        shifted[:, 450] *= 1 + 1e-10
+        complex_op = _random_map("complex", 600, "square", "midpoint")
+        C = np.sqrt(complex_op.grid_T.weights)[:, None] * complex_op.feature.matrix
+        # Hᵀ diag(m) conj(H) in place of Hᴴ diag(m) H
+        wrong_side = C.T @ C.conj()
+        H = indicator.feature.matrix
+        other_weights = rl.make_uniform_grid(0, 1, 600, "trapezoid").weights
+        other_grid = (H.T * other_weights) @ H
+        return [("column off by 1e-10", indicator, shifted),
+                ("conjugated on the wrong side", complex_op, wrong_side),
+                ("another grid's T weights", indicator, other_grid)]
+
+    def test_faulty_grams_read_above_the_gate(self):
+        for name, op, gram in self.sensitivity_cases():
+            value = rl.transform.factorization_residual(_with_gram(op, gram))
+            assert value > 1e-12, f"{name}: {value:.3e}"
+
+    def test_indicator_at_3200_passes_the_gate(self):
+        # the W-inside product, (Hᴴ diag m)(H diag w), read 1.06e-14 here,
+        # above the 1e-14 gate, on an identity that holds by construction
+        assert rl.transform.factorization_residual(_indicator_op(3200)) <= 1e-14
 
 
 class TestInvert:
